@@ -29,7 +29,7 @@ from .evaluation import (
     sweep,
     sweep_table,
 )
-from .events import Outcome, Scenario
+from .events import Outcome, Scenario, merge_catalogs
 from .model import mine_model, read_model, write_model
 from .predictors import FrequencyModel
 from .recurrent import RecurrentModel
@@ -131,14 +131,20 @@ def cmd_run(args) -> int:
     else:
         model = mine_model(traces)
 
+    train_traces = None
+    if args.train:
+        # The training log may hold steps the input log never shows: the
+        # classifier's catalog is the input log's, extended by those.
+        train_log = read_xes(Path(args.train).read_bytes())
+        train_traces = list(train_log.traces)
+        catalog = merge_catalogs(catalog, train_log.catalog)
+
     if args.classifier == "frequency":
         classifier = FrequencyModel(catalog, window=args.window, alpha=args.alpha)
     else:
         classifier = RecurrentModel(catalog, seed=seed)
 
-    if args.train:
-        train_log = read_xes(Path(args.train).read_bytes(), catalog)
-        train_traces = list(train_log.traces)
+    if train_traces is not None:
         if isinstance(classifier, FrequencyModel):
             classifier.fit_bins(train_traces)
         classifier.train(train_traces)
@@ -188,6 +194,11 @@ def cmd_run(args) -> int:
         Path(args.out).write_text(out_text, encoding="utf-8")
     else:
         sys.stdout.write(out_text)
+    if bus.error_queue:
+        first = bus.error_queue[0]
+        print(f"warning: {len(bus.error_queue)} prediction errors (first: "
+              f"{first.instance_id} event {first.at_event_index}: "
+              f"{first.message})", file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .errors import UnknownPartner
+from .errors import SchemaError, UnknownPartner
 
 #: Canonical identifier of the failure state. Traces never carry this name
 #: directly; events of kind FAILURE map onto it.
@@ -87,7 +87,14 @@ class EventCatalog:
         if len(names) != len(set(names)):
             raise ValueError("event type names must be unique within a catalog")
         object.__setattr__(self, "intrinsic", (fail,) + steps)
-        object.__setattr__(self, "_by_name", {t.name: t for t in self.all_types})
+        types = self.all_types
+        object.__setattr__(self, "_by_name", {t.name: t for t in types})
+        object.__setattr__(
+            self, "_positions", {t.name: i for i, t in enumerate(types)}
+        )
+        object.__setattr__(
+            self, "_max_data_arity", max((t.arity for t in types), default=0)
+        )
 
     @property
     def failure_type(self) -> EventType:
@@ -103,10 +110,14 @@ class EventCatalog:
 
     @property
     def max_data_arity(self) -> int:
-        return max((t.arity for t in self.all_types), default=0)
+        return self._max_data_arity
 
     def lookup(self, name: str) -> EventType | None:
         return self._by_name.get(name)
+
+    def position(self, name: str) -> int | None:
+        """Index of the named type in ``all_types`` (its one-hot slot)."""
+        return self._positions.get(name)
 
     def signature(self) -> tuple:
         """Structural identity used to detect catalog mismatches."""
@@ -252,6 +263,34 @@ def catalog_from_traces(traces: list[EventTrace]) -> EventCatalog:
                 steps.setdefault(et.name, et)
     intrinsic = ((fail,) if fail else ()) + tuple(steps.values())
     return EventCatalog(intrinsic=intrinsic, context=tuple(contexts.values()))
+
+
+def merge_catalogs(base: EventCatalog, extra: EventCatalog) -> EventCatalog:
+    """``base`` followed by the types only ``extra`` has, so ``base``'s
+    one-hot positions are kept.
+
+    A name both catalogs know must denote the same type (kind and payload
+    schema), and both must share the failure type; ``SchemaError``
+    otherwise.
+    """
+    if extra.failure_type != base.failure_type:
+        raise SchemaError(
+            f"failure type {extra.failure_type.name!r} conflicts with "
+            f"{base.failure_type.name!r}"
+        )
+    for et in extra.all_types:
+        known = base.lookup(et.name)
+        if known is not None and known != et:
+            raise SchemaError(
+                f"event type {et.name!r} has conflicting definitions"
+            )
+    steps = tuple(t for t in extra.steps if base.lookup(t.name) is None)
+    context = tuple(t for t in extra.context if base.lookup(t.name) is None)
+    if not steps and not context:
+        return base
+    return EventCatalog(
+        intrinsic=base.intrinsic + steps, context=base.context + context
+    )
 
 
 def _keep(event: Event, scenario: Scenario) -> bool:

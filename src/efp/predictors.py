@@ -83,17 +83,14 @@ def prediction_outcomes(catalog: EventCatalog) -> tuple[str, ...]:
 
 
 def encode_event(event: Event, catalog: EventCatalog) -> InputRow:
-    types = catalog.all_types
-    try:
-        index = types.index(event.event_type)
-    except ValueError:
-        by_name = catalog.lookup(event.event_type.name)
-        if by_name is None:
-            raise UnknownEventType(
-                f"event type {event.event_type.name!r} not in catalog"
-            ) from None
-        index = types.index(by_name)
-    onehot = np.zeros(len(types))
+    # Names are unique within a catalog, so a type is placed by its name;
+    # a type whose schema differs from the catalog's still gets that slot.
+    index = catalog.position(event.event_type.name)
+    if index is None:
+        raise UnknownEventType(
+            f"event type {event.event_type.name!r} not in catalog"
+        )
+    onehot = np.zeros(len(catalog.all_types))
     onehot[index] = 1.0
     data = np.zeros(catalog.max_data_arity)
     for i, value in enumerate(event.payload):
@@ -106,16 +103,6 @@ def encode_trace(trace: EventTrace, catalog: EventCatalog) -> list[InputRow]:
     """One row per event, in trace order; payload slots beyond an event's
     schema stay zero."""
     return [encode_event(e, catalog) for e in trace.events]
-
-
-def encode_step(state: str, catalog: EventCatalog) -> InputRow:
-    """Row for a hypothetical future step (default payload)."""
-    et = catalog.failure_type if state == FAIL_STATE else catalog.lookup(state)
-    if et is None:
-        raise UnknownEventType(f"state {state!r} not in catalog")
-    onehot = np.zeros(len(catalog.all_types))
-    onehot[catalog.all_types.index(et)] = 1.0
-    return InputRow(onehot, np.zeros(catalog.max_data_arity))
 
 
 def training_pairs(

@@ -11,13 +11,12 @@ import io
 
 import numpy as np
 
-from .errors import CheckpointMismatch, DimensionMismatch
-from .events import EventCatalog, EventTrace
+from .errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
+from .events import FAIL_STATE, EventCatalog, EventTrace
 from .predictors import (
     Classifier,
     Prediction,
     _catalog_hash,
-    encode_step,
     encode_trace,
     prediction_outcomes,
     training_pairs,
@@ -51,6 +50,10 @@ class RecurrentModel(Classifier):
         self.outcomes = prediction_outcomes(catalog)
         self.input_size = len(catalog.all_types) + catalog.max_data_arity
         self.output_size = len(self.outcomes)
+        # A hypothetical step is a one-hot row with zero payload, so its
+        # input term ``w_in @ row`` is exactly one column of ``w_in``.
+        self._columns = {t.name: i for i, t in enumerate(catalog.all_types)}
+        self._columns[FAIL_STATE] = self._columns[catalog.failure_type.name]
         rng = np.random.default_rng(seed)
         scale_in = 1.0 / np.sqrt(self.input_size)
         scale_rec = 1.0 / np.sqrt(hidden_size)
@@ -87,8 +90,12 @@ class RecurrentModel(Classifier):
         return hidden, self._readout(hidden)
 
     def advance(self, cursor, state: str):
-        row = encode_step(state, self.catalog).concat()
-        hidden = self._step(cursor, row)
+        column = self._columns.get(state)
+        if column is None:
+            raise UnknownEventType(f"state {state!r} not in catalog")
+        # Same operand order as ``_step``; ``w_in`` is read at call time
+        # because training updates it in place and loading rebinds it.
+        hidden = np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
         return hidden, self._readout(hidden)
 
     # -- training -------------------------------------------------------------

@@ -77,6 +77,25 @@ class _Walker:
         self.paths: list[OutcomePath] = []
         self.pruned = 0.0
         self._candidate_cache: dict = {}
+        self._slot_cache: dict = {}
+
+    def slots(self, outcomes, state: str):
+        """The state's feasible successors as ``(index, name)`` slots of
+        the classifier's outcomes, in outcome order, plus the feasible set
+        itself for the zero-mass fallback. A classifier's outcomes are
+        fixed, so this is computed once per state."""
+        cached = self._slot_cache.get(state)
+        if cached is None:
+            if state in self.model.states:
+                feasible = self.model.successors(state)
+            else:
+                # State never seen during mining: the model cannot constrain
+                # the continuation, so every predicted outcome stays in play.
+                feasible = set(outcomes)
+            slots = [(i, name) for i, name in enumerate(outcomes) if name in feasible]
+            cached = slots, feasible
+            self._slot_cache[state] = cached
+        return cached
 
     def candidates(self, prediction, cursor, state: str):
         """Feasible successors with renormalized probabilities, most likely
@@ -86,21 +105,15 @@ class _Walker:
             cached = self._candidate_cache.get(key)
             if cached is not None:
                 return cached
-        if state in self.model.states:
-            feasible = self.model.successors(state)
-        else:
-            # State never seen during mining: the model cannot constrain
-            # the continuation, so every predicted outcome stays in play.
-            feasible = set(prediction.outcomes)
-        entries = [
-            (name, p)
-            for name, p in zip(prediction.outcomes, prediction.probs)
-            if name in feasible and p > 0.0
-        ]
+        slots, feasible = self.slots(prediction.outcomes, state)
+        probs = prediction.probs
+        entries = [(name, p) for i, name in slots if (p := probs[i]) > 0.0]
         total = sum(p for _, p in entries)
         if total <= 0.0:
             # Classifier assigns no mass to any feasible successor; fall
             # back to a uniform split so probability mass is conserved.
+            # The model may allow successors the classifier does not
+            # predict (a model read from a file).
             entries = [(name, 1.0) for name in sorted(feasible)]
             total = float(len(entries))
         entries = [(name, p / total) for name, p in entries]

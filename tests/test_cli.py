@@ -1,14 +1,16 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import efp
 from efp.cli import main
 from efp.model import read_model
 from efp.xes import read_xes
 
-from efp.events import FAIL_STATE, Outcome
+from efp.events import FAIL_STATE, FieldKind, Outcome
 
 
 def run_cli(*args):
@@ -202,10 +204,75 @@ def test_help_documents_flags_and_defaults(capsys):
 
 
 def test_console_entry_point():
+    # The child interpreter imports the same efp as this one, installed or
+    # not (pytest's ``pythonpath`` setting does not reach subprocesses).
+    src = str(Path(efp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "efp.cli", "evaluate", "--from-matrix",
          "1,0,0,1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "mcc 1.000" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def training_and_input_logs(tmp_path_factory):
+    """A 40-instance training log with faults (it has steps, such as
+    ``escalate_order``, that a clean log never shows) and a clean
+    5-instance input log."""
+    d = tmp_path_factory.mktemp("train")
+    steps = [
+        ("simulate", "--n", "40", "--seed", "1", "--out", d / "train0.xes"),
+        ("inject", "--in", d / "train0.xes", "--out", d / "train.xes",
+         "--rate", "0.5", "--seed", "2"),
+        ("simulate", "--n", "5", "--seed", "3", "--out", d / "input0.xes"),
+        ("inject", "--in", d / "input0.xes", "--out", d / "input.xes",
+         "--rate", "0", "--seed", "4"),
+    ]
+    for args in steps:
+        assert run_cli(*map(str, args)) == 0
+    return d / "train.xes", d / "input.xes"
+
+
+def test_run_trains_on_steps_the_input_log_lacks(tmp_path,
+                                                 training_and_input_logs):
+    train, infile = training_and_input_logs
+    train_types = {t.name for t in read_xes(train.read_bytes()).catalog.all_types}
+    in_types = {t.name for t in read_xes(infile.read_bytes()).catalog.all_types}
+    assert "escalate_order" in train_types - in_types
+    out = tmp_path / "pred.tsv"
+    assert run_cli("run", "--in", str(infile), "--train", str(train),
+                   "--out", str(out)) == 0
+    assert "# instances 5, failures 0" in out.read_text()
+
+
+def test_run_rejects_conflicting_training_schema(tmp_path):
+    from efp.xes import write_xes
+    from conftest import make_catalog, make_trace
+
+    def log(catalog, name):
+        trace = make_trace(catalog, ["A", "temp", "B"], label=Outcome.END,
+                           payloads={"temp": (1.0,)})
+        path = tmp_path / name
+        path.write_bytes(write_xes([trace]))
+        return path
+
+    numeric = make_catalog("AB", contexts=(("temp", (("v", FieldKind.NUMERIC),)),))
+    other = make_catalog("AB", contexts=(("temp", (("w", FieldKind.NUMERIC),)),))
+    assert run_cli("run", "--in", str(log(numeric, "in.xes")),
+                   "--train", str(log(other, "train.xes"))) == 1
+
+
+def test_run_reports_prediction_errors_on_stderr(training_and_input_logs,
+                                                 capsys):
+    train, _ = training_and_input_logs
+    assert run_cli("run", "--in", str(train)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: 22 prediction errors (first: case-00000 event 0: "
+        "frequency model has seen no training trace)\n"
+    )
+    assert "warning" not in captured.out
+    assert captured.out.endswith("detected 19/19\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efp.errors import UnknownPartner
+from efp.errors import SchemaError, UnknownPartner
 from efp.events import (
     FAIL_STATE,
     Event,
@@ -11,9 +11,11 @@ from efp.events import (
     EventType,
     Outcome,
     Scenario,
+    FieldKind,
     Visibility,
     catalog_from_traces,
     filter_visibility,
+    merge_catalogs,
 )
 
 from conftest import make_catalog, make_trace, random_catalog_and_traces
@@ -180,3 +182,32 @@ def test_catalog_from_traces_covers_all_types():
     seen = {e.event_type.name for t in traces for e in t.events}
     assert {t.name for t in inferred.all_types} >= seen
     assert inferred.failure_type.kind is EventKind.FAILURE
+
+
+def test_merge_catalogs_appends_types_only_extra_has():
+    base = make_catalog(["A", "B"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),))
+    extra = make_catalog(["B", "X", "A"], contexts=(
+        ("load", (("kg", FieldKind.NUMERIC),)),
+        ("temp", (("reading", FieldKind.NUMERIC),)),
+    ))
+    merged = merge_catalogs(base, extra)
+    assert [t.name for t in merged.all_types] == [
+        "failure", "A", "B", "X", "temp", "load"
+    ]
+    assert merged.all_types[:3] == base.all_types[:3]
+    assert merge_catalogs(base, make_catalog(["B"])) is base
+
+
+def test_merge_catalogs_rejects_conflicting_definitions():
+    base = make_catalog(["A"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),))
+    schema = make_catalog(["A"], contexts=(
+        ("temp", (("reading", FieldKind.CATEGORICAL),)),))
+    with pytest.raises(SchemaError):
+        merge_catalogs(base, schema)
+    kind = make_catalog(["A", "temp"])
+    with pytest.raises(SchemaError):
+        merge_catalogs(base, kind)
+    with pytest.raises(SchemaError):
+        merge_catalogs(base, make_catalog(["A"], fail_name="crash"))

@@ -40,6 +40,29 @@ def test_encode_payload_zero_padding():
     assert row.data.tolist() == [31.5, 0.0]
 
 
+def test_catalog_cached_lookups_equal_a_fresh_scan():
+    catalog = make_catalog(["A", "B"], contexts=(
+        ("C_temp", (("reading", FieldKind.NUMERIC),)),
+        ("C_pair", (("x", FieldKind.NUMERIC), ("y", FieldKind.CATEGORICAL))),
+    ))
+    types = catalog.all_types
+    assert catalog.max_data_arity == max(t.arity for t in types) == 2
+    for i, et in enumerate(types):
+        assert catalog.position(et.name) == types.index(et) == i
+    assert catalog.position("Z") is None
+    assert make_catalog(["A"]).max_data_arity == 0
+
+
+def test_encode_places_a_same_named_type_by_name(small_catalog):
+    # A type equal by name but not by schema still takes the catalog's slot.
+    other = make_catalog(["B"], contexts=(
+        ("C_temp", (("celsius", FieldKind.NUMERIC),)),))
+    trace = make_trace(other, ["C_temp"], payloads={"C_temp": (4.0,)})
+    [row] = encode_trace(trace, small_catalog)
+    assert row.event_onehot.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert row.data.tolist() == [4.0]
+
+
 def test_encode_length_preservation(small_catalog):
     trace = make_trace(small_catalog, ["A", "B", "A", "B"])
     assert len(encode_trace(trace, small_catalog)) == 4

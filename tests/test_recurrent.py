@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efp.errors import CheckpointMismatch, DimensionMismatch
+from efp.errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
 from efp.events import FAIL_STATE, FieldKind, Outcome
 from efp.predictors import encode_trace
 from efp.recurrent import RecurrentModel
@@ -124,3 +124,61 @@ def test_fail_slot_learnable(toy_catalog):
         model.train(corpus)
     pred = model.predict(make_trace(toy_catalog, ["A", "B"]))
     assert pred.prob(FAIL_STATE) >= 0.9
+
+
+# -- a hypothetical step is one column of w_in --------------------------------
+
+
+@pytest.fixture
+def payload_catalog():
+    return make_catalog(["A", "B", "C"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),
+        ("pair", (("x", FieldKind.NUMERIC), ("y", FieldKind.CATEGORICAL))),
+    ))
+
+
+def _onehot_step(model, state):
+    """The full input row of a hypothetical step, built by scanning the
+    catalog: one-hot over every type, zero payload."""
+    catalog = model.catalog
+    name = catalog.failure_type.name if state == FAIL_STATE else state
+    row = np.zeros(model.input_size)
+    row[[t.name for t in catalog.all_types].index(name)] = 1.0
+    return row
+
+
+def _assert_advance_is_full_step(model):
+    cursor, _ = model.start(make_trace(model.catalog, ["A", "B"]))
+    for state in model.outcomes:
+        hidden, prediction = model.advance(cursor, state)
+        row = _onehot_step(model, state)
+        expected = np.tanh(model.w_in @ row + model.w_rec @ cursor + model.b_rec)
+        assert np.array_equal(hidden, expected), state
+        assert np.array_equal(prediction.probs, model._readout(expected).probs)
+
+
+def test_advance_equals_onehot_step_as_weights_change(payload_catalog):
+    # One model throughout, so a copy of the weights kept from an earlier
+    # call would show after training and after loading new parameters.
+    model = RecurrentModel(payload_catalog, seed=7)
+    assert payload_catalog.max_data_arity == 2
+    assert FAIL_STATE in model.outcomes
+    _assert_advance_is_full_step(model)
+
+    before = model.w_in.copy()
+    model.train_online(make_trace(
+        payload_catalog, ["A", "temp", "B", "pair", "C"],
+        payloads={"temp": (21.5,), "pair": (3.0, "hi")}, label=Outcome.FAIL))
+    assert not np.array_equal(model.w_in, before)  # updated in place
+    _assert_advance_is_full_step(model)
+
+    rng = np.random.default_rng(3)
+    model.set_flat_params(rng.normal(size=model.get_flat_params().size))
+    _assert_advance_is_full_step(model)
+
+
+def test_advance_unknown_state_raises(payload_catalog):
+    model = RecurrentModel(payload_catalog, seed=7)
+    cursor, _ = model.start(make_trace(payload_catalog, ["A"]))
+    with pytest.raises(UnknownEventType):
+        model.advance(cursor, "Z")

@@ -337,3 +337,108 @@ def test_equal_probabilities_tie_break_lexicographic(order_catalog,
     trace = make_trace(order_catalog, ["A", "B", "C"])
     result = traverse(trace, stub, order_model)
     assert [p.suffix for p in result.paths] == [("E",), (FAIL_STATE,)]
+
+
+# -- feasible successor slots ---------------------------------------------------
+
+
+def reference_candidates(prediction, model, state):
+    """The candidate rule written out plainly: filter every outcome by the
+    model, renormalize, fall back to a uniform split over the feasible set
+    when no feasible outcome has mass, sort by (-p, name)."""
+    if state in model.states:
+        feasible = model.successors(state)
+    else:
+        feasible = set(prediction.outcomes)
+    entries = [
+        (name, p)
+        for name, p in zip(prediction.outcomes, prediction.probs)
+        if name in feasible and p > 0.0
+    ]
+    total = sum(p for _, p in entries)
+    if total <= 0.0:
+        entries = [(name, 1.0) for name in sorted(feasible)]
+        total = float(len(entries))
+    entries = [(name, p / total) for name, p in entries]
+    entries.sort(key=lambda item: (-item[1], item[0]))
+    return entries
+
+
+@pytest.fixture
+def checked_walker(monkeypatch):
+    """Makes every traversal compare each node's candidates with
+    ``reference_candidates``; returns the list of checked states."""
+    import efp.traversal
+
+    checked = []
+
+    class CheckedWalker(efp.traversal._Walker):
+        def candidates(self, prediction, cursor, state):
+            got = super().candidates(prediction, cursor, state)
+            assert got == reference_candidates(prediction, self.model, state)
+            checked.append(state)
+            return got
+
+    monkeypatch.setattr(efp.traversal, "_Walker", CheckedWalker)
+    return checked
+
+
+def test_unseen_state_keeps_every_outcome_feasible(order_catalog,
+                                                   checked_walker):
+    # C is not a state of this model, so nothing constrains its successors:
+    # D (which no model edge reaches) and B (final) both stay in play.
+    model = ProcessModel(
+        states=frozenset({"A", "B"}),
+        initial_state="A",
+        final_states=frozenset({"B"}),
+        allowed=frozenset({("A", "B")}),
+    )
+    stub = StubClassifier(order_catalog, {
+        ("C",): {"D": 0.5, "B": 0.3, FAIL_STATE: 0.2},
+        ("C", "D"): {FAIL_STATE: 1.0},
+    })
+    result = traverse(make_trace(order_catalog, ["C"]), stub, model)
+    got = {p.suffix: p.probability for p in result.paths}
+    assert got == {("D", FAIL_STATE): 0.5, ("B",): 0.3, (FAIL_STATE,): 0.2}
+    assert checked_walker == ["C", "D"]
+
+
+def test_zero_mass_fallback_splits_over_model_successors(order_catalog,
+                                                         checked_walker):
+    # X is a successor the model allows but the classifier cannot predict
+    # (it is not in the catalog), as with a model read from a file.
+    model = ProcessModel(
+        states=frozenset("ABCDGX"),
+        initial_state="A",
+        final_states=frozenset({"G", "X"}),
+        allowed=frozenset(
+            {("A", "B"), ("B", "C"), ("C", "D"), ("C", "X"), ("D", "G")}
+        ),
+    )
+    stub = StubClassifier(order_catalog, {
+        ("A", "B", "C"): {"B": 1.0},  # all mass on an infeasible successor
+        ("A", "B", "C", "D"): {"G": 1.0},
+    })
+    result = traverse(make_trace(order_catalog, ["A", "B", "C"]), stub, model)
+    third = 1.0 / 3.0
+    assert [(p.suffix, p.probability, p.outcome) for p in result.paths] == [
+        (("D", "G"), third, Outcome.END),
+        (("X",), third, Outcome.END),
+        ((FAIL_STATE,), third, Outcome.FAIL),
+    ]
+    assert result.pruned_mass == 0.0
+    assert checked_walker == ["C", "D"]
+
+
+def test_candidates_equal_reference_rule(order_catalog, order_model,
+                                         table_stub, checked_walker):
+    trace = make_trace(order_catalog, ["A", "B", "C"])
+    traverse(trace, table_stub, order_model)
+    traverse(trace, StubClassifier(order_catalog, {}), order_model)
+    rng = np.random.default_rng(99)
+    for _ in range(5):
+        model = random_cyclic_model(rng, int(rng.integers(4, 8)))
+        catalog, classifier = trained_frequency(rng, model)
+        probe = make_trace(catalog, [model.initial_state], instance_id="probe")
+        traverse(probe, classifier, model, TraversalLimits(max_depth=8))
+    assert len(checked_walker) > 100
