@@ -57,7 +57,7 @@ classifier.train(corpus)
 running = trace_of("ABC")
 result = traverse(running, classifier, model, TraversalLimits())
 print("\ncontinuations of A->B->C, most likely first:")
-print(format_report(result))
+print(format_report(result.paths))
 
 estimate = failure_probability(result)
 print(f"\nexplored mass {result.explored_mass:.4f}, "

@@ -8,7 +8,7 @@ until the first divergent step arrives, then jumps to near certainty --
 four steps before the failure actually happens.
 """
 
-from efp import Bus, FrequencyModel, mine_model
+from efp import FrequencyModel, mine_model, replay
 from efp.events import Outcome, catalog_from_traces
 from efp.synthesis import (
     STEP_FAULT,
@@ -48,17 +48,10 @@ failing = next(t for t in corpus if t.outcome_label is Outcome.FAIL)
 print(f"replaying {failing.instance_id!r}: error at event "
       f"{failing.error_index}, failure at event {len(failing.events) - 1}")
 
-bus = Bus()
-bus.start_instance(failing.instance_id + "-replay", classifier, model)
-for event in failing.events:
-    bus.publish(type(event)(
-        event.event_type, event.timestamp,
-        failing.instance_id + "-replay", event.partner_id,
-        event.visibility, event.payload,
-    ))
+stream = replay([failing], classifier, model)
 
 print("\nindex  event               p_fail  bounds")
-for prediction in bus.prediction_queue:
+for prediction in stream:
     event = failing.events[prediction.at_event_index]
     bar = "#" * int(prediction.p_fail * 30)
     print(f"  {prediction.at_event_index:03d}  "
@@ -66,7 +59,7 @@ for prediction in bus.prediction_queue:
           f"[{prediction.lower:.4f}, {prediction.upper:.4f}] {bar}")
 
 threshold = 0.5
-detection = next(p.at_event_index for p in bus.prediction_queue
+detection = next(p.at_event_index for p in stream
                  if p.p_fail >= threshold)
 failure_at = len(failing.events) - 1
 print(f"\ndetected at event {detection}, failure at event {failure_at}: "

@@ -33,7 +33,7 @@ from .events import Outcome, Scenario, merge_catalogs
 from .model import mine_model, read_model, write_model
 from .predictors import FrequencyModel
 from .recurrent import RecurrentModel
-from .runtime import Bus
+from .runtime import Bus, replay
 from .synthesis import (
     FAULT_TYPES,
     default_fault_plan,
@@ -42,7 +42,7 @@ from .synthesis import (
     inject_faults,
     read_spec,
 )
-from .traversal import TraversalLimits
+from .traversal import TraversalLimits, format_report
 from .xes import read_xes, write_xes
 
 USAGE_ERROR = 2
@@ -62,15 +62,33 @@ def _load_spec(value: str):
     return read_spec(Path(value).read_text(encoding="utf-8"))
 
 
-def _limits(args) -> TraversalLimits:
-    return TraversalLimits(
-        max_depth=args.max_depth,
-        max_breadth=args.max_breadth,
-        min_probability=args.min_probability,
+def _config(args, seed: int) -> PipelineConfig:
+    """Classifier and traversal settings of ``run`` and ``evaluate``."""
+    factory = None
+    if args.classifier == "recurrent":
+        factory = lambda catalog: RecurrentModel(catalog, seed=seed)
+    return PipelineConfig(
+        limits=TraversalLimits(
+            max_depth=args.max_depth,
+            max_breadth=args.max_breadth,
+            min_probability=args.min_probability,
+        ),
+        threshold=args.threshold,
+        window=args.window,
+        alpha=args.alpha,
+        classifier_factory=factory,
     )
 
 
-def _add_limit_flags(parser) -> None:
+def _add_pipeline_flags(parser) -> None:
+    parser.add_argument("--classifier", choices=("frequency", "recurrent"),
+                        default="frequency")
+    parser.add_argument("--window", type=int, default=3,
+                        help="frequency classifier history window (default 3)")
+    parser.add_argument("--alpha", type=float, default=1.0,
+                        help="frequency classifier smoothing (default 1.0)")
+    parser.add_argument("--threshold", type=float, default=0.5,
+                        help="failure classification threshold (default 0.5)")
     parser.add_argument("--max-depth", type=int, default=20,
                         help="traversal depth limit (default 20)")
     parser.add_argument("--max-breadth", type=int, default=5,
@@ -139,11 +157,8 @@ def cmd_run(args) -> int:
         train_traces = list(train_log.traces)
         catalog = merge_catalogs(catalog, train_log.catalog)
 
-    if args.classifier == "frequency":
-        classifier = FrequencyModel(catalog, window=args.window, alpha=args.alpha)
-    else:
-        classifier = RecurrentModel(catalog, seed=seed)
-
+    config = _config(args, seed)
+    classifier = config.build_classifier(catalog)
     if train_traces is not None:
         if isinstance(classifier, FrequencyModel):
             classifier.fit_bins(train_traces)
@@ -151,30 +166,30 @@ def cmd_run(args) -> int:
     elif isinstance(classifier, FrequencyModel):
         classifier.fit_bins(traces)
 
-    limits = _limits(args)
     bus = Bus()
+    streams: dict[str, list] = {}
+    for prediction in replay(traces, classifier, model, config.limits, bus):
+        streams.setdefault(prediction.instance_id, []).append(prediction)
     lines = []
     lead_times = []
     failures = 0
     for trace in traces:
-        instance = bus.start_instance(
-            trace.instance_id, classifier, model, limits
-        )
-        before = len(bus.prediction_queue)
-        for event in trace.events:
-            bus.publish(event)
-        stream = bus.prediction_queue[before:]
+        instance = bus.instances[trace.instance_id]
+        stream = streams.get(trace.instance_id, [])
         lines.extend(p.line() for p in stream)
-        if args.report_paths and stream:
-            lines.append("# paths at last event:")
-            lines.extend(
-                "# " + line
-                for line in format_report_paths(stream[-1])
-            )
+        if args.report_paths:
+            # The closing event's prediction is certain and has no paths:
+            # report the last one made before it.
+            closing = len(instance.events) - 1 if instance.closed else None
+            open_stream = [p for p in stream if p.at_event_index != closing]
+            if open_stream:
+                lines.append("# paths at last event:")
+                report = format_report(open_stream[-1].top_paths)
+                lines.extend("# " + line for line in report.splitlines())
         if instance.label is Outcome.FAIL:
             failures += 1
             detection = next(
-                (p.at_event_index for p in stream if p.p_fail >= args.threshold),
+                (p.at_event_index for p in stream if p.p_fail >= config.threshold),
                 None,
             )
             if detection is not None:
@@ -202,13 +217,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def format_report_paths(prediction) -> list[str]:
-    return [
-        f"{'->'.join(p.suffix)} {p.probability:.3f} {p.outcome.value}"
-        for p in prediction.top_paths
-    ]
-
-
 def cmd_evaluate(args) -> int:
     seed = _effective_seed(args)
     if args.from_matrix:
@@ -229,16 +237,7 @@ def cmd_evaluate(args) -> int:
     rates = [float(r) for r in args.rate.split(",")]
     scenarios = [Scenario.parse(s) for s in args.scenario.split(",")]
     fault_types = tuple(args.fault_types.split(","))
-    factory = None
-    if args.classifier == "recurrent":
-        factory = lambda catalog: RecurrentModel(catalog, seed=seed)
-    config = PipelineConfig(
-        limits=_limits(args),
-        threshold=args.threshold,
-        window=args.window,
-        alpha=args.alpha,
-        classifier_factory=factory,
-    )
+    config = _config(args, seed)
     cells = sweep(
         spec,
         lambda rate: default_fault_plan(spec, rate, fault_types),
@@ -309,20 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model file (default: mine from the input log)")
     p.add_argument("--train", default=None,
                    help="XES log to pre-train the classifier on")
-    p.add_argument("--classifier", choices=("frequency", "recurrent"),
-                   default="frequency")
-    p.add_argument("--window", type=int, default=3,
-                   help="frequency classifier history window (default 3)")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="frequency classifier smoothing (default 1.0)")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="failure classification threshold (default 0.5)")
+    _add_pipeline_flags(p)
     p.add_argument("--report-paths", action="store_true",
                    help="append the final traversal path report per instance")
     p.add_argument("--seed", type=int, default=None,
                    help="classifier init seed (default: EFP_SEED or 0)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate",
@@ -341,15 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-types", default="step,event,data",
                    help="comma list from {step,event,data}")
     p.add_argument("--k", type=int, default=3, help="folds (default 3)")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--classifier", choices=("frequency", "recurrent"),
-                   default="frequency")
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=1.0)
+    _add_pipeline_flags(p)
     p.add_argument("--seed", type=int, default=None,
                    help="pipeline seed (default: EFP_SEED or 0)")
     p.add_argument("--out", default="eval-out", help="output directory")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

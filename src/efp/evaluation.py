@@ -35,6 +35,10 @@ from .traversal import (
     traverse,
 )
 
+# Lead times measured per fold at most: each one traverses every prefix
+# from the error manifestation to the failure.
+MAX_LEAD_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -123,14 +127,6 @@ class MetricReport:
             total = total + fold.matrix
         return total
 
-    @property
-    def mean_matrix(self) -> ConfusionMatrix:
-        pooled = self.pooled
-        k = max(len(self.per_fold), 1)
-        return ConfusionMatrix(
-            pooled.tp / k, pooled.tn / k, pooled.fp / k, pooled.fn / k
-        )
-
     def _mean_sigma(self, attr: str) -> tuple[float, float]:
         values = [getattr(f, attr) for f in self.per_fold]
         if not values:
@@ -196,11 +192,8 @@ def evaluation_prefix(trace: EventTrace) -> EventTrace:
         if trace.error_index is not None:
             cut = trace.error_index + 1
         else:
-            cut = len(events)
-            for i, e in enumerate(events):
-                if e.event_type.kind is EventKind.FAILURE:
-                    cut = i
-                    break
+            fail_at = _failure_index(trace)
+            cut = len(events) if fail_at is None else fail_at
     else:
         intrinsic_positions = [i for i, e in enumerate(events) if e.is_intrinsic]
         if not intrinsic_positions:
@@ -243,7 +236,6 @@ class PipelineConfig:
     alpha: float = 1.0
     classifier_factory: object | None = None
     collect_lead_times: bool = True
-    max_lead_samples: int = 50
 
     def build_classifier(self, catalog):
         if self.classifier_factory is not None:
@@ -282,7 +274,7 @@ def evaluate_split(
         if (
             config.collect_lead_times
             and actual_fail
-            and len(lead_times) < config.max_lead_samples
+            and len(lead_times) < MAX_LEAD_SAMPLES
         ):
             lead = _lead_time(
                 trace, classifier, model, config.limits, config.threshold

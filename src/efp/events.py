@@ -192,10 +192,6 @@ class EventTrace:
         return len(self.events)
 
     @property
-    def intrinsic_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_intrinsic)
-
-    @property
     def states(self) -> tuple[str, ...]:
         """Intrinsic state sequence of the trace."""
         return tuple(e.state for e in self.events if e.is_intrinsic)

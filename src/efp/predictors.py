@@ -72,9 +72,6 @@ class Prediction:
     def prob(self, state: str) -> float:
         return float(self.probs[self.outcomes.index(state)])
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.outcomes, map(float, self.probs)))
-
 
 def prediction_outcomes(catalog: EventCatalog) -> tuple[str, ...]:
     """Output space of any classifier on this catalog: failure first, then

@@ -137,10 +137,6 @@ class Bus:
         self._not_full = threading.Condition(self._lock)
         self._dispatching: set[str] = set()
 
-    def queue_for(self, instance_id: str) -> deque:
-        with self._lock:
-            return self._queue_locked(instance_id)
-
     def _queue_locked(self, instance_id: str) -> deque:
         queue = self.queues.get(instance_id)
         if queue is None:

@@ -12,6 +12,7 @@ interval bounds.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .events import FAIL_STATE, EventTrace, Outcome
@@ -232,10 +233,10 @@ def classify_instance(
     return Classification.PREDICT_END
 
 
-def format_report(result: TraversalResult) -> str:
+def format_report(paths: Sequence[OutcomePath]) -> str:
     """Text report: one line per path, probability with three decimals."""
     lines = []
-    for path in result.paths:
+    for path in paths:
         lines.append(
             f"{'->'.join(path.suffix)} {path.probability:.3f} {path.outcome.value}"
         )

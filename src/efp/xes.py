@@ -54,9 +54,6 @@ class ParsedLog:
     catalog: EventCatalog
     empty_dropped: int = 0
 
-    def __iter__(self):
-        return iter(self.traces)
-
     def __len__(self):
         return len(self.traces)
 

@@ -10,7 +10,11 @@ from efp.cli import main
 from efp.model import read_model
 from efp.xes import read_xes
 
-from efp.events import FAIL_STATE, FieldKind, Outcome
+from efp.events import FAIL_STATE, FieldKind, Outcome, merge_catalogs
+from efp.model import mine_model
+from efp.predictors import FrequencyModel
+from efp.runtime import Bus, replay
+from efp.traversal import format_report
 
 
 def run_cli(*args):
@@ -136,13 +140,6 @@ def test_run_deterministic(tmp_path, small_log):
     assert outs[0] == outs[1]
 
 
-def test_run_report_paths_flag(tmp_path, small_log):
-    out = tmp_path / "paths.tsv"
-    assert run_cli("run", "--in", str(small_log), "--out", str(out),
-                   "--seed", "1", "--report-paths") == 0
-    assert "# paths at last event:" in out.read_text()
-
-
 def test_efp_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EFP_SEED", "99")
     out = tmp_path / "env.xes"
@@ -190,14 +187,19 @@ def test_evaluate_sweep_deterministic(tmp_path):
 
 
 def test_help_documents_flags_and_defaults(capsys):
-    assert run_cli("run", "--help") == 0
-    text = capsys.readouterr().out
-    for flag in ("--max-depth", "--max-breadth", "--min-probability",
-                 "--classifier", "--threshold"):
-        assert flag in text
-    assert "default 20" in text
-    assert "default 5" in text
-    assert "1e-4" in text
+    # run and evaluate share the classifier and traversal flags
+    for command in ("run", "evaluate"):
+        assert run_cli(command, "--help") == 0
+        text = capsys.readouterr().out
+        for flag in ("--max-depth", "--max-breadth", "--min-probability",
+                     "--classifier", "--threshold", "--window", "--alpha"):
+            assert flag in text
+        assert "default 20" in text
+        assert "default 5" in text
+        assert "1e-4" in text
+        assert "threshold (default 0.5)" in text
+        assert "smoothing (default 1.0)" in text
+        assert "window (default 3)" in text
     for command in ("simulate", "inject", "mine", "evaluate"):
         assert run_cli(command, "--help") == 0
         assert "--" in capsys.readouterr().out
@@ -246,6 +248,49 @@ def test_run_trains_on_steps_the_input_log_lacks(tmp_path,
     assert run_cli("run", "--in", str(infile), "--train", str(train),
                    "--out", str(out)) == 0
     assert "# instances 5, failures 0" in out.read_text()
+
+
+@pytest.mark.parametrize("classifier", ["frequency", "recurrent"])
+def test_run_default_output_matches_golden(training_and_input_logs, classifier,
+                                           monkeypatch, capsys):
+    train, infile = training_and_input_logs
+    monkeypatch.delenv("EFP_SEED", raising=False)
+    assert run_cli("run", "--in", str(infile), "--train", str(train),
+                   "--classifier", classifier) == 0
+    golden = Path(__file__).parent / "data" / f"run_train_{classifier}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_run_report_paths_flag(tmp_path, training_and_input_logs):
+    train, infile = training_and_input_logs
+    out = tmp_path / "paths.tsv"
+    assert run_cli("run", "--in", str(infile), "--train", str(train),
+                   "--out", str(out), "--report-paths") == 0
+
+    # The same replay through the library: each instance's report is its
+    # last prediction before the closing event.
+    log, train_log = read_xes(infile.read_bytes()), read_xes(train.read_bytes())
+    classifier = FrequencyModel(merge_catalogs(log.catalog, train_log.catalog))
+    classifier.fit_bins(list(train_log.traces))
+    classifier.train(list(train_log.traces))
+    traces = list(log.traces)
+    bus = Bus()
+    stream = replay(traces, classifier, mine_model(traces), bus=bus)
+    expected = []
+    for trace in traces:
+        instance = bus.instances[trace.instance_id]
+        assert instance.closed
+        own = [p for p in stream if p.instance_id == trace.instance_id]
+        expected.extend(p.line() for p in own)
+        reported = [p for p in own
+                    if p.at_event_index < len(instance.events) - 1][-1]
+        report = format_report(reported.top_paths).splitlines()
+        assert report, "every header needs at least one path line"
+        expected.append("# paths at last event:")
+        expected.extend("# " + line for line in report)
+    lines = out.read_text().splitlines()
+    assert lines[:len(expected)] == expected
+    assert lines[len(expected)].startswith("# seed")
 
 
 def test_run_rejects_conflicting_training_schema(tmp_path):

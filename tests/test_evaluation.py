@@ -198,6 +198,11 @@ def test_evaluation_prefix_rules(order_catalog):
     prefix = evaluation_prefix(unannotated)
     assert [e.event_type.name for e in prefix.events] == ["A", "B"]
 
+    no_failure_event = make_trace(order_catalog, ["A", "B", "C"],
+                                  label=Outcome.FAIL)
+    prefix = evaluation_prefix(no_failure_event)
+    assert [e.event_type.name for e in prefix.events] == ["A", "B", "C"]
+
     end_trace = make_trace(order_catalog, ["A", "B", "C", "D", "G"],
                            label=Outcome.END)
     prefix = evaluation_prefix(end_trace)

@@ -244,7 +244,7 @@ def test_single_end_path_probability_one(order_catalog, order_model):
 
 def test_format_report(order_catalog, order_model, table_stub):
     trace = make_trace(order_catalog, ["A", "B", "C"])
-    report = format_report(traverse(trace, table_stub, order_model))
+    report = format_report(traverse(trace, table_stub, order_model).paths)
     lines = report.splitlines()
     assert lines[0] == f"D->{FAIL_STATE} 0.799 fail"
     assert lines[-1] == "D->G 0.004 end"
