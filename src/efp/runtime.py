@@ -73,6 +73,7 @@ class EfpInstance:
         self.model = model
         self.limits = limits
         self.events: list[Event] = []
+        self.seen_intrinsic = False
         self.closed = False
         self.label: Outcome | None = None
 
@@ -87,9 +88,10 @@ class EfpInstance:
             return None
         self.events.append(event)
         index = len(self.events) - 1
+        self.seen_intrinsic = self.seen_intrinsic or event.is_intrinsic
 
         prediction = None
-        if any(e.is_intrinsic for e in self.events):
+        if self.seen_intrinsic:
             try:
                 result = traverse(
                     self.trace, self.classifier, self.model, self.limits
@@ -106,7 +108,7 @@ class EfpInstance:
                     p_fail=estimate.p_fail,
                     lower=estimate.lower,
                     upper=estimate.upper,
-                    top_paths=result.paths[:TOP_PATHS],
+                    top_paths=result.top_paths(TOP_PATHS),
                     timestamp=event.timestamp,
                 )
                 self.bus.prediction_queue.append(prediction)

@@ -3,7 +3,7 @@
 Starting from the current step, the classifier is queried for a next-step
 distribution, infeasible successors (per the process model) are zeroed
 out and the rest renormalized, and the most likely candidates are expanded
-recursively until a final state or the failure state is reached. Branches
+depth first until a final state or the failure state is reached. Branches
 cut by the depth, breadth, or probability limits are tallied into
 ``pruned_mass`` so the failure probability can be reported with honest
 interval bounds.
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .events import FAIL_STATE, EventTrace, Outcome
 from .model import ProcessModel, current_step
@@ -56,28 +57,91 @@ class OutcomePath:
     step_probs: tuple[float, ...]
 
 
+def _outcome_path(leaf) -> OutcomePath:
+    """The path of a leaf ``(probability, link, outcome, outcome_state)``:
+    its suffix and step factors are read off the parent links."""
+    probability, link, outcome, outcome_state = leaf
+    suffix, step_probs = [], []
+    while link is not None:
+        link, name, p = link
+        suffix.append(name)
+        step_probs.append(p)
+    suffix.reverse()
+    step_probs.reverse()
+    return OutcomePath(
+        tuple(suffix), probability, outcome, outcome_state, tuple(step_probs)
+    )
+
+
+def _path_order(path: OutcomePath):
+    return -path.probability, path.suffix
+
+
 @dataclass(frozen=True)
 class TraversalResult:
-    paths: tuple[OutcomePath, ...]
+    """Masses and outcome paths of one traversal.
+
+    ``explored_mass`` sums the probabilities of every outcome path,
+    ``failure_mass`` those of the failing ones and ``pruned_mass`` the
+    branches the limits cut. The walk records each path as a leaf
+    ``(probability, link, outcome, outcome_state)``, where ``link`` is
+    ``(parent_link, state, step_probability)`` and the root's link is
+    ``None``. ``paths`` (every path, most likely first, ties broken by
+    suffix) is built from the leaves on its first read; ``top_paths(k)``
+    builds only the paths that can be among the first ``k``. The masses,
+    and so ``failure_probability``, never build a path. The leaves take no
+    part in equality or ``repr``: a deep walk's links nest thousands deep.
+    """
+
     explored_mass: float
     pruned_mass: float
+    failure_mass: float = 0.0
     already_final: bool = False
     final_state: str | None = None
+    leaves: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def paths(self) -> tuple[OutcomePath, ...]:
+        return tuple(sorted(map(_outcome_path, self.leaves), key=_path_order))
+
+    def top_paths(self, k: int) -> tuple[OutcomePath, ...]:
+        """``paths[:k]``, building only the leaves whose probability is at
+        least the ``k``-th largest."""
+        leaves = self.leaves
+        if len(leaves) > k >= 1:
+            cut = sorted([leaf[0] for leaf in leaves], reverse=True)[k - 1]
+            leaves = [leaf for leaf in leaves if leaf[0] >= cut]
+        return tuple(sorted(map(_outcome_path, leaves), key=_path_order)[:k])
+
+
+class _Node:
+    """One ``(cursor, state)`` context of a traversal: its ranked children
+    and, when the node is shared, one slot per child for the child's node."""
+
+    __slots__ = ("cursor", "state", "entries", "children")
+
+    def __init__(self, cursor, state, entries, children):
+        self.cursor = cursor
+        self.state = state
+        self.entries = entries
+        self.children = children
 
 
 class _Walker:
     """Single-traversal state: classifier cursors advance one hypothetical
-    step at a time, so each prefix is evaluated at most once, and the
-    filtered candidate lists are memoized for repeated (cursor, state)
-    combinations."""
+    step at a time, so each prefix is evaluated at most once. A node with a
+    hashable (tuple) cursor is shared by every path that reaches its
+    ``(cursor, state)``, so its children are computed, and each of them
+    advanced, once per traversal. Other cursors get a node, and one
+    ``advance`` per expanded child, on every path."""
 
     def __init__(self, classifier, model, limits):
         self.classifier = classifier
         self.model = model
         self.limits = limits
-        self.paths: list[OutcomePath] = []
+        self.leaves: list = []
         self.pruned = 0.0
-        self._candidate_cache: dict = {}
+        self._nodes: dict = {}
         self._slot_cache: dict = {}
 
     def slots(self, outcomes, state: str):
@@ -98,14 +162,9 @@ class _Walker:
             self._slot_cache[state] = cached
         return cached
 
-    def candidates(self, prediction, cursor, state: str):
+    def candidates(self, prediction, state: str):
         """Feasible successors with renormalized probabilities, most likely
         first; ties broken by state identifier."""
-        key = (cursor, state) if isinstance(cursor, tuple) else None
-        if key is not None:
-            cached = self._candidate_cache.get(key)
-            if cached is not None:
-                return cached
         slots, feasible = self.slots(prediction.outcomes, state)
         probs = prediction.probs
         entries = [(name, p) for i, name in slots if (p := probs[i]) > 0.0]
@@ -119,38 +178,67 @@ class _Walker:
             total = float(len(entries))
         entries = [(name, p / total) for name, p in entries]
         entries.sort(key=lambda item: (-item[1], item[0]))
-        if key is not None:
-            self._candidate_cache[key] = entries
         return entries
 
-    def expand(self, cursor, prediction, state: str, suffix, probs, p_curr):
-        depth = len(suffix) + 1
-        for rank, (name, p) in enumerate(
-            self.candidates(prediction, cursor, state)
-        ):
-            p_child = p_curr * p
-            if p_child <= 0.0:
-                continue
-            if rank >= self.limits.max_breadth or depth > self.limits.max_depth:
-                self.pruned += p_child
-                continue
-            child_suffix = suffix + (name,)
-            child_probs = probs + (p,)
-            if name == FAIL_STATE:
-                self.paths.append(
-                    OutcomePath(child_suffix, p_child, Outcome.FAIL, state, child_probs)
-                )
-            elif name in self.model.final_states:
-                self.paths.append(
-                    OutcomePath(child_suffix, p_child, Outcome.END, name, child_probs)
-                )
-            elif p_child < self.limits.min_probability:
-                self.pruned += p_child
+    def node(self, cursor, prediction, state: str) -> _Node:
+        if not isinstance(cursor, tuple):
+            return _Node(cursor, state, self.candidates(prediction, state), None)
+        key = (cursor, state)
+        node = self._nodes.get(key)
+        if node is None:
+            entries = self.candidates(prediction, state)
+            node = _Node(cursor, state, entries, [None] * len(entries))
+            self._nodes[key] = node
+        return node
+
+    def walk(self, cursor, prediction, state: str) -> None:
+        """Depth first from the current state on an explicit stack of
+        ``(ranked children left, node, probability, link, depth)`` frames:
+        children are visited in rank order and pruned mass is added up in
+        visiting order."""
+        max_depth = self.limits.max_depth
+        max_breadth = self.limits.max_breadth
+        min_probability = self.limits.min_probability
+        finals = self.model.final_states
+        advance = self.classifier.advance
+        leaves = self.leaves
+        pruned = 0.0
+        root = self.node(cursor, prediction, state)
+        stack = [(enumerate(root.entries), root, 1.0, None, 1)]
+        while stack:
+            ranked, node, p_curr, link, depth = stack[-1]
+            for rank, (name, p) in ranked:
+                p_child = p_curr * p
+                if p_child <= 0.0:
+                    continue
+                if rank >= max_breadth or depth > max_depth:
+                    pruned += p_child
+                elif name == FAIL_STATE:
+                    leaves.append((p_child, (link, name, p), Outcome.FAIL, node.state))
+                elif name in finals:
+                    leaves.append((p_child, (link, name, p), Outcome.END, name))
+                elif p_child < min_probability:
+                    pruned += p_child
+                else:
+                    children = node.children
+                    child = None if children is None else children[rank]
+                    if child is None:
+                        child = self.node(*advance(node.cursor, name), name)
+                        if children is not None:
+                            children[rank] = child
+                    stack.append((
+                        enumerate(child.entries), child, p_child, (link, name, p),
+                        depth + 1,
+                    ))
+                    break
             else:
-                next_cursor, next_pred = self.classifier.advance(cursor, name)
-                self.expand(
-                    next_cursor, next_pred, name, child_suffix, child_probs, p_child
-                )
+                stack.pop()
+        self.pruned = pruned
+        # The shared nodes of a cyclic model refer to one another: unlink
+        # them so that they are freed as the traversal returns rather than
+        # left to the cyclic garbage collector.
+        for node in self._nodes.values():
+            node.children = None
 
 
 def traverse(
@@ -168,7 +256,6 @@ def traverse(
     state = current_step(trace, model)
     if state in model.final_states:
         return TraversalResult(
-            paths=(),
             explored_mass=0.0,
             pruned_mass=0.0,
             already_final=True,
@@ -176,13 +263,17 @@ def traverse(
         )
     walker = _Walker(classifier, model, limits)
     cursor, prediction = classifier.start(trace)
-    walker.expand(cursor, prediction, state, (), (), 1.0)
-    paths = tuple(
-        sorted(walker.paths, key=lambda p: (-p.probability, p.suffix))
-    )
-    explored = sum(p.probability for p in paths)
+    walker.walk(cursor, prediction, state)
+    leaves = tuple(walker.leaves)
+    # Summed largest first, as over the sorted paths: the two orders differ
+    # only among paths of equal probability.
     return TraversalResult(
-        paths=paths, explored_mass=explored, pruned_mass=walker.pruned
+        explored_mass=sum(sorted([leaf[0] for leaf in leaves], reverse=True)),
+        pruned_mass=walker.pruned,
+        failure_mass=sum(sorted(
+            [leaf[0] for leaf in leaves if leaf[2] is Outcome.FAIL], reverse=True
+        )),
+        leaves=leaves,
     )
 
 
@@ -206,9 +297,7 @@ def failure_probability(result: TraversalResult) -> FailureEstimate:
     if result.already_final:
         p = 1.0 if result.final_state == FAIL_STATE else 0.0
         return FailureEstimate(p, p, p)
-    fail_mass = sum(
-        p.probability for p in result.paths if p.outcome is Outcome.FAIL
-    )
+    fail_mass = result.failure_mass
     return FailureEstimate(fail_mass, fail_mass, fail_mass + result.pruned_mass)
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from efp.errors import NoIntrinsicEvent
 from efp.events import FAIL_STATE, Event, EventTrace, Outcome
 from efp.model import ProcessModel, current_step
 from efp.predictors import FrequencyModel
+from efp.runtime import Bus
 from efp.traversal import (
     Classification,
+    FailureEstimate,
+    OutcomePath,
     TraversalLimits,
     UNLIMITED,
     classify_instance,
@@ -221,15 +226,20 @@ def test_classification_threshold_boundary(order_catalog, order_model):
 
 
 def test_failure_probability_interval_arithmetic():
-    from efp.traversal import OutcomePath, TraversalResult
+    from efp.traversal import TraversalResult
 
     result = TraversalResult(
-        paths=(
-            OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL, "x", (0.5,)),
-            OutcomePath(("z",), 0.2, Outcome.END, "z", (0.2,)),
-        ),
         explored_mass=0.7,
         pruned_mass=0.3,
+        failure_mass=0.5,
+        leaves=(
+            (0.5, (None, FAIL_STATE, 0.5), Outcome.FAIL, "x"),
+            (0.2, (None, "z", 0.2), Outcome.END, "z"),
+        ),
+    )
+    assert result.paths == (
+        OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL, "x", (0.5,)),
+        OutcomePath(("z",), 0.2, Outcome.END, "z", (0.2,)),
     )
     est = failure_probability(result)
     assert (est.p_fail, est.lower, est.upper) == (0.5, 0.5, 0.8)
@@ -373,8 +383,8 @@ def checked_walker(monkeypatch):
     checked = []
 
     class CheckedWalker(efp.traversal._Walker):
-        def candidates(self, prediction, cursor, state):
-            got = super().candidates(prediction, cursor, state)
+        def candidates(self, prediction, state):
+            got = super().candidates(prediction, state)
             assert got == reference_candidates(prediction, self.model, state)
             checked.append(state)
             return got
@@ -439,6 +449,203 @@ def test_candidates_equal_reference_rule(order_catalog, order_model,
     for _ in range(5):
         model = random_cyclic_model(rng, int(rng.integers(4, 8)))
         catalog, classifier = trained_frequency(rng, model)
-        probe = make_trace(catalog, [model.initial_state], instance_id="probe")
-        traverse(probe, classifier, model, TraversalLimits(max_depth=8))
+        # Each distinct node is checked once per traversal, so probe from
+        # every non-final state for more distinct nodes.
+        for start in sorted(model.states - model.final_states - {FAIL_STATE}):
+            probe = make_trace(catalog, [start], instance_id="probe")
+            traverse(probe, classifier, model, TraversalLimits(max_depth=8))
     assert len(checked_walker) > 100
+
+
+# -- exact equivalence with the recursive walk ----------------------------------
+
+
+def reference_traverse(trace, classifier, model, limits):
+    """The recursive walk written plainly: one ``OutcomePath`` per leaf,
+    built by copying the suffix and the step factors at every node, pruned
+    mass added up in visiting order, and the masses summed over the paths
+    sorted by (-probability, suffix). Returns (paths, explored mass, pruned
+    mass, failure mass)."""
+    paths = []
+    pruned = 0.0
+
+    def expand(cursor, prediction, state, suffix, probs, p_curr):
+        nonlocal pruned
+        depth = len(suffix) + 1
+        ranked = reference_candidates(prediction, model, state)
+        for rank, (name, p) in enumerate(ranked):
+            p_child = p_curr * p
+            if p_child <= 0.0:
+                continue
+            if rank >= limits.max_breadth or depth > limits.max_depth:
+                pruned += p_child
+                continue
+            child_suffix = suffix + (name,)
+            child_probs = probs + (p,)
+            if name == FAIL_STATE:
+                paths.append(OutcomePath(
+                    child_suffix, p_child, Outcome.FAIL, state, child_probs))
+            elif name in model.final_states:
+                paths.append(OutcomePath(
+                    child_suffix, p_child, Outcome.END, name, child_probs))
+            elif p_child < limits.min_probability:
+                pruned += p_child
+            else:
+                next_cursor, next_pred = classifier.advance(cursor, name)
+                expand(next_cursor, next_pred, name, child_suffix, child_probs,
+                       p_child)
+
+    cursor, prediction = classifier.start(trace)
+    expand(cursor, prediction, current_step(trace, model), (), (), 1.0)
+    paths.sort(key=lambda p: (-p.probability, p.suffix))
+    explored = sum(p.probability for p in paths)
+    failing = sum(p.probability for p in paths if p.outcome is Outcome.FAIL)
+    return tuple(paths), explored, pruned, failing
+
+
+def assert_walks_agree(trace, classifier, model, limits):
+    paths, explored, pruned, failing = reference_traverse(
+        trace, classifier, model, limits)
+    result = traverse(trace, classifier, model, limits)
+    # Top paths first: they must not depend on ``paths`` having been built.
+    for k in (1, 5, 10, len(paths) + 1):
+        assert result.top_paths(k) == paths[:k]
+    assert result.paths == paths
+    assert result.explored_mass == explored
+    assert result.pruned_mass == pruned
+    assert failure_probability(result) == FailureEstimate(
+        failing, failing, failing + pruned)
+    return len(paths)
+
+
+TIGHTER_LIMITS = (
+    TraversalLimits(max_depth=12, max_breadth=4, min_probability=1e-5),
+    TraversalLimits(max_depth=6, max_breadth=4, min_probability=1e-5),
+    TraversalLimits(max_depth=12, max_breadth=2, min_probability=1e-5),
+    TraversalLimits(max_depth=12, max_breadth=4, min_probability=1e-2),
+)
+
+
+def test_walk_equals_recursive_reference_exactly():
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for i in range(12):
+        cyclic = i % 2 == 1
+        make_model = random_cyclic_model if cyclic else random_dag_model
+        model = make_model(rng, int(rng.integers(4, 8)))
+        catalog, classifier = trained_frequency(rng, model)
+        # UNLIMITED has no probability cutoff, so a cyclic model never ends.
+        limits = (TraversalLimits(),) + TIGHTER_LIMITS + (
+            () if cyclic else (UNLIMITED,))
+        for start in sorted(model.states - model.final_states - {FAIL_STATE}):
+            probe = make_trace(catalog, [start], instance_id="probe")
+            for lim in limits:
+                compared += assert_walks_agree(probe, classifier, model, lim)
+    assert compared > 1000
+
+
+def test_top_paths_ties_straddling_the_cut(order_catalog):
+    # Five final successors and the failure state, uniform: six paths of
+    # probability 1/6, so the top five are decided by suffix alone.
+    model = ProcessModel(
+        states=frozenset("ABCDEG"),
+        initial_state="A",
+        final_states=frozenset("BCDEG"),
+        allowed=frozenset({("A", s) for s in "BCDEG"}),
+    )
+    stub = StubClassifier(order_catalog, {})
+    trace = make_trace(order_catalog, ["A"])
+    assert assert_walks_agree(trace, stub, model, UNLIMITED) == 6
+    result = traverse(trace, stub, model, UNLIMITED)
+    assert [p.suffix for p in result.top_paths(5)] == [
+        ("B",), ("C",), ("D",), ("E",), ("G",)
+    ]
+    # A uniform stub on the order model: ties at every depth.
+    order = ProcessModel(
+        states=frozenset("ABCDEG"),
+        initial_state="A",
+        final_states=frozenset({"E", "G"}),
+        allowed=frozenset(
+            {("A", "B"), ("B", "C"), ("C", "D"), ("C", "E"), ("C", "B"),
+             ("D", "G"), ("D", "B")}
+        ),
+    )
+    for limits in (TraversalLimits(),) + TIGHTER_LIMITS:
+        assert_walks_agree(trace, stub, order, limits)
+
+
+# -- deep limits ------------------------------------------------------------------
+
+
+DEEP = TraversalLimits(max_depth=5000, max_breadth=1, min_probability=0.0)
+
+
+def looping_frequency_model():
+    """A <-> B with an exit to the final C; training loops ten times per
+    trace, so the most likely child at every node continues the loop."""
+    model = ProcessModel(
+        states=frozenset("ABC"),
+        initial_state="A",
+        final_states=frozenset({"C"}),
+        allowed=frozenset({("A", "B"), ("B", "A"), ("B", "C")}),
+    )
+    catalog = make_catalog("ABC")
+    classifier = FrequencyModel(catalog, window=3)
+    classifier.train([
+        make_trace(catalog, ["A", "B"] * 10 + ["C"], instance_id=f"loop{i}",
+                   label=Outcome.END)
+        for i in range(5)
+    ])
+    return catalog, classifier, model
+
+
+def test_deep_limits_terminate(order_catalog):
+    # A -> A forever: the breadth-1 path halves its probability per step
+    # and runs about 1,074 steps deep before it underflows to zero.
+    self_loop = ProcessModel(
+        states=frozenset({"A"}),
+        initial_state="A",
+        final_states=frozenset(),
+        allowed=frozenset({("A", "A")}),
+    )
+    result = traverse(make_trace(order_catalog, ["A"]),
+                      StubClassifier(order_catalog, {}), self_loop, DEEP)
+    assert result.explored_mass + result.pruned_mass == pytest.approx(
+        1.0, abs=1e-9)
+
+    catalog, classifier, model = looping_frequency_model()
+    result = traverse(make_trace(catalog, ["A"]), classifier, model, DEEP)
+    assert result.explored_mass + result.pruned_mass == pytest.approx(
+        1.0, abs=1e-9)
+    # Every node's top child continues the loop, down to the depth limit.
+    assert result.paths == ()
+    assert result.pruned_mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_deep_limits_publish_predictions_on_the_bus():
+    catalog, classifier, model = looping_frequency_model()
+    bus = Bus()
+    bus.start_instance("deep", classifier, model, DEEP)
+    trace = make_trace(catalog, ["A", "B", "A"], instance_id="deep")
+    for event in trace.events:
+        bus.publish(event)
+    assert bus.error_queue == []
+    assert [p.at_event_index for p in bus.prediction_queue] == [0, 1, 2]
+
+
+def test_cyclic_walk_leaves_no_reference_cycles():
+    # The looping model's shared nodes reach themselves; a traversal must
+    # still be freed by reference counting alone.
+    catalog, classifier, model = looping_frequency_model()
+    trace = make_trace(catalog, ["A", "B", "A"])
+    gc.collect()
+    gc.disable()
+    try:
+        for limits in (TraversalLimits(), DEEP):
+            result = traverse(trace, classifier, model, limits)
+            assert result.explored_mass + result.pruned_mass == pytest.approx(
+                1.0, abs=1e-9)
+            del result
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
