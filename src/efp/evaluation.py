@@ -6,6 +6,10 @@ failed traces the snapshot is taken right after the injected error
 manifests, for ended traces at the median intrinsic event. Lead time
 (failure index minus detection index) is reported for failed traces where
 the prediction crossed the threshold before the failure.
+
+Within one ``evaluate_split`` call the classifier is frozen, so the call
+keeps one traversal memo: snapshots and lead-time scans that reach the
+same ``(cursor, state)`` share one walk.
 """
 
 from __future__ import annotations
@@ -210,7 +214,7 @@ def _failure_index(trace: EventTrace) -> int | None:
     return None
 
 
-def _lead_time(trace, classifier, model, limits, threshold) -> int | None:
+def _lead_time(trace, classifier, model, limits, threshold, memo) -> int | None:
     """Events between detection and failure, scanning prediction snapshots
     from the error manifestation onward."""
     fail_at = _failure_index(trace)
@@ -220,7 +224,9 @@ def _lead_time(trace, classifier, model, limits, threshold) -> int | None:
         prefix = replace(trace, events=trace.events[: i + 1], error_index=None)
         if not any(e.is_intrinsic for e in prefix.events):
             continue
-        estimate = failure_probability(traverse(prefix, classifier, model, limits))
+        estimate = failure_probability(
+            traverse(prefix, classifier, model, limits, memo=memo)
+        )
         if estimate.p_fail >= threshold:
             return fail_at - i
     return None
@@ -259,11 +265,13 @@ def evaluate_split(
 
     cm = ConfusionMatrix()
     lead_times: list[int] = []
+    memo: dict = {}
     for trace in test:
         prefix = evaluation_prefix(trace)
         if any(e.is_intrinsic for e in prefix.events):
             verdict = classify_instance(
-                prefix, classifier, model, config.limits, config.threshold
+                prefix, classifier, model, config.limits, config.threshold,
+                memo=memo,
             )
         else:
             # Nothing observable yet (e.g. fully filtered away): the only
@@ -277,7 +285,7 @@ def evaluate_split(
             and len(lead_times) < MAX_LEAD_SAMPLES
         ):
             lead = _lead_time(
-                trace, classifier, model, config.limits, config.threshold
+                trace, classifier, model, config.limits, config.threshold, memo
             )
             if lead is not None:
                 lead_times.append(lead)

@@ -90,7 +90,7 @@ def mine_model(traces: list[EventTrace]) -> ProcessModel:
     observed adjacent pair. Failure events collapse onto the failure state,
     so a trace ending in a failure contributes no spurious final step.
     """
-    sequences = [t.states for t in traces if t.states]
+    sequences = [seq for seq in (t.states for t in traces) if seq]
     if not sequences:
         raise EmptyLog("mining requires at least one trace with an intrinsic event")
 

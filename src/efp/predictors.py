@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,10 @@ class Prediction:
     def __post_init__(self):
         if len(self.probs) != len(self.outcomes):
             raise ValueError("probs and outcomes must have equal length")
-        if np.any(self.probs < 0) or abs(float(self.probs.sum()) - 1.0) > 1e-9:
+        # Written so that NaN fails both comparisons: a NaN or infinite
+        # entry is rejected, not passed on as a distribution.
+        probs = self.probs
+        if not probs.min() >= 0.0 or not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise ValueError("prediction must be a probability distribution")
 
     def prob(self, state: str) -> float:
@@ -102,10 +106,11 @@ def encode_trace(trace: EventTrace, catalog: EventCatalog) -> list[InputRow]:
     return [encode_event(e, catalog) for e in trace.events]
 
 
-def training_pairs(
+def training_targets(
     trace: EventTrace, catalog: EventCatalog
-) -> list[tuple[tuple[Event, ...], str]]:
-    """(prefix, next step) pairs of a completed labeled trace.
+) -> list[tuple[int, str]]:
+    """(prefix length, next step) of each training pair of a completed
+    labeled trace, in trace order; ``training_pairs`` gives the prefixes.
 
     The first intrinsic event gets no pair (the start of a process is
     given, not predicted). A ``fail``-labeled trace without an explicit
@@ -113,24 +118,34 @@ def training_pairs(
     """
     if trace.outcome_label is None:
         raise MissingLabel(f"trace {trace.instance_id!r} has no outcome label")
-    pairs = []
-    seen_intrinsic = False
+    targets = []
+    last_state = None
     for i, event in enumerate(trace.events):
-        if not event.is_intrinsic:
+        # ``is_intrinsic`` spelled out: this loop runs once per training event.
+        if event.event_type.kind is EventKind.CONTEXT:
             continue
         if catalog.lookup(event.event_type.name) is None:
             raise UnknownEventType(
                 f"event type {event.event_type.name!r} not in catalog"
             )
-        if seen_intrinsic:
-            pairs.append((trace.events[:i], event.state))
-        seen_intrinsic = True
-    states = trace.states
-    if trace.outcome_label is Outcome.FAIL and (
-        not states or states[-1] != FAIL_STATE
-    ):
-        pairs.append((trace.events, FAIL_STATE))
-    return pairs
+        state = event.state
+        if last_state is not None:
+            targets.append((i, state))
+        last_state = state
+    if trace.outcome_label is Outcome.FAIL and last_state != FAIL_STATE:
+        targets.append((len(trace.events), FAIL_STATE))
+    return targets
+
+
+def training_pairs(
+    trace: EventTrace, catalog: EventCatalog
+) -> list[tuple[tuple[Event, ...], str]]:
+    """(prefix, next step) pairs of a completed labeled trace; see
+    ``training_targets``."""
+    return [
+        (trace.events[:cut], target)
+        for cut, target in training_targets(trace, catalog)
+    ]
 
 
 class Classifier:
@@ -142,6 +157,13 @@ class Classifier:
     traversal: ``start(trace)`` returns an opaque cursor plus the
     prediction at the trace's end, ``advance(cursor, state)`` appends one
     hypothetical step.
+
+    Cursor contract: while a classifier is not being trained, equal tuple
+    cursors must give equal predictions. The traversal shares one node per
+    ``(cursor, state)`` within a walk, and the evaluation reuses a whole
+    walk per ``(cursor, state)`` within a fold, on that promise. Cursors of
+    any other type (the recurrent classifier's hidden-state arrays, for
+    instance) are never shared.
     """
 
     catalog: EventCatalog
@@ -244,8 +266,20 @@ class FrequencyModel(Classifier):
     # -- training and prediction ------------------------------------------
 
     def train_online(self, trace: EventTrace) -> None:
-        for prefix, target in training_pairs(trace, self.catalog):
-            key = self._context(prefix)
+        # One pass: each event inside some pair's window is tokenized once,
+        # and ``tail`` slides along holding the last ``window`` tokens
+        # before the current cut. Every key is built before any count
+        # changes, so a trace that raises leaves the counts as they were.
+        targets = training_targets(trace, self.catalog)
+        window, token, events = self.window, self._token, trace.events
+        tail: deque = deque(maxlen=max(window, 0))
+        seen = 0
+        keys = []
+        for cut, target in targets:
+            tail.extend(map(token, events[max(seen, cut - window):cut]))
+            seen = cut
+            keys.append((tuple(tail), target))
+        for key, target in keys:
             row = self.counts.get(key)
             if row is None:
                 row = np.zeros(len(self.outcomes))

@@ -246,12 +246,19 @@ def traverse(
     classifier: Classifier,
     model: ProcessModel,
     limits: TraversalLimits = TraversalLimits(),
+    memo: dict | None = None,
 ) -> TraversalResult:
     """Enumerate probable continuations of ``trace`` within the limits.
 
     When the trace already sits in a final state there is nothing to
     predict: the result carries the ``already_final`` flag and the state.
     Otherwise ``explored_mass + pruned_mass == 1`` up to rounding.
+
+    ``memo`` is a dict the caller owns for a run of traversals with one
+    model, one set of limits and one classifier that is not trained in
+    between. A walk from a tuple cursor is stored there under
+    ``(cursor, state)`` and returned again for an equal key (see the
+    cursor contract of ``Classifier``).
     """
     state = current_step(trace, model)
     if state in model.final_states:
@@ -261,13 +268,19 @@ def traverse(
             already_final=True,
             final_state=state,
         )
-    walker = _Walker(classifier, model, limits)
     cursor, prediction = classifier.start(trace)
+    key = None
+    if memo is not None and isinstance(cursor, tuple):
+        key = (cursor, state)
+        result = memo.get(key)
+        if result is not None:
+            return result
+    walker = _Walker(classifier, model, limits)
     walker.walk(cursor, prediction, state)
     leaves = tuple(walker.leaves)
     # Summed largest first, as over the sorted paths: the two orders differ
     # only among paths of equal probability.
-    return TraversalResult(
+    result = TraversalResult(
         explored_mass=sum(sorted([leaf[0] for leaf in leaves], reverse=True)),
         pruned_mass=walker.pruned,
         failure_mass=sum(sorted(
@@ -275,6 +288,9 @@ def traverse(
         )),
         leaves=leaves,
     )
+    if key is not None:
+        memo[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -312,11 +328,15 @@ def classify_instance(
     model: ProcessModel,
     limits: TraversalLimits = TraversalLimits(),
     threshold: float = 0.5,
+    memo: dict | None = None,
 ) -> Classification:
-    """Binarize the failure probability at ``threshold`` (inclusive)."""
+    """Binarize the failure probability at ``threshold`` (inclusive);
+    ``memo`` is passed on to ``traverse``."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    estimate = failure_probability(traverse(trace, classifier, model, limits))
+    estimate = failure_probability(
+        traverse(trace, classifier, model, limits, memo=memo)
+    )
     if estimate.p_fail >= threshold:
         return Classification.PREDICT_FAIL
     return Classification.PREDICT_END

@@ -261,6 +261,20 @@ def test_run_default_output_matches_golden(training_and_input_logs, classifier,
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def test_evaluate_output_matches_golden(tmp_path, monkeypatch, capsys):
+    # Pins every byte ``efp evaluate`` writes for a two-rate, two-scenario
+    # sweep.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("evaluate", "--spec", "default", "--n", "240",
+                   "--rate", "0.2,0.5", "--scenario", "global,local:carrier",
+                   "--k", "3", "--seed", "9", "--out", "out") == 0
+    golden = Path(__file__).parent / "data" / "evaluate_default"
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text(
+        encoding="utf-8")
+    for name in ("results.tsv", "precision.tsv", "recall.tsv", "mcc.tsv"):
+        assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes()
+
+
 def test_run_report_paths_flag(tmp_path, training_and_input_logs):
     train, infile = training_and_input_logs
     out = tmp_path / "paths.tsv"

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import efp.traversal
 from efp.errors import EmptyMatrix, InsufficientData
 from efp.evaluation import (
+    MAX_LEAD_SAMPLES,
     ConfusionMatrix,
+    FoldResult,
     PipelineConfig,
     cross_validate,
     evaluate_split,
@@ -13,9 +18,12 @@ from efp.evaluation import (
     sweep,
     sweep_table,
 )
-from efp.events import FAIL_STATE, Outcome, Scenario
-from efp.predictors import Classifier, Prediction, prediction_outcomes
+from efp.events import FAIL_STATE, EventKind, Outcome, Scenario, catalog_from_traces
+from efp.model import mine_model
+from efp.predictors import Classifier, FrequencyModel, Prediction, prediction_outcomes
+from efp.recurrent import RecurrentModel
 from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
+from efp.traversal import failure_probability, traverse
 
 from conftest import make_catalog, make_trace
 
@@ -268,3 +276,139 @@ def test_global_beats_local_directionally(injected_corpus):
     local = filter_visibility(injected_corpus, Scenario.parse("local:carrier"))
     local_report = cross_validate(local, k=3, config=config, seed=4)
     assert global_report.mcc >= local_report.mcc
+
+
+def reference_split(train, test, config, catalog):
+    """``evaluate_split`` without a memo: every snapshot and every
+    lead-time prefix gets a traversal of its own. Returns the fold result
+    and every failure estimate, in the order they were made."""
+    model = mine_model(train)
+    classifier = config.build_classifier(catalog)
+    if isinstance(classifier, FrequencyModel):
+        classifier.fit_bins(train)
+    classifier.train(train)
+    estimates = []
+
+    def flagged(prefix):
+        if not any(e.is_intrinsic for e in prefix.events):
+            return False
+        estimates.append(failure_probability(
+            traverse(prefix, classifier, model, config.limits)
+        ))
+        return estimates[-1].p_fail >= config.threshold
+
+    cm = ConfusionMatrix()
+    lead_times = []
+    for trace in test:
+        failed = trace.outcome_label is Outcome.FAIL
+        cm = cm.add(failed, flagged(evaluation_prefix(trace)))
+        if not failed or len(lead_times) >= MAX_LEAD_SAMPLES:
+            continue
+        fail_at = next((i for i, e in enumerate(trace.events)
+                        if e.event_type.kind is EventKind.FAILURE), None)
+        if fail_at is None or trace.error_index is None:
+            continue
+        for i in range(trace.error_index, fail_at):
+            prefix = replace(trace, events=trace.events[:i + 1], error_index=None)
+            if flagged(prefix):
+                lead_times.append(fail_at - i)
+                break
+    return FoldResult(cm, *metrics(cm), len(test), tuple(lead_times)), estimates
+
+
+@pytest.mark.parametrize("config, n_traces", [
+    (PipelineConfig(window=0), 240),
+    (PipelineConfig(window=3), 240),
+    (PipelineConfig(classifier_factory=lambda catalog: RecurrentModel(catalog)), 30),
+], ids=["frequency-window-0", "frequency-window-3", "recurrent"])
+def test_memoized_folds_equal_unmemoized_reference(injected_corpus, config,
+                                                   n_traces, monkeypatch):
+    # Fold results are coarse (a window-0 model flags every trace), so
+    # every failure estimate behind them is compared too, bit for bit.
+    estimates = []
+
+    def recording(result):
+        estimates.append(failure_probability(result))
+        return estimates[-1]
+
+    monkeypatch.setattr(efp.traversal, "failure_probability", recording)
+    monkeypatch.setattr(efp.evaluation, "failure_probability", recording)
+    corpus = injected_corpus[:n_traces]
+    catalog = catalog_from_traces(corpus)
+    lead_times = []
+    for fold in range(3):
+        test = corpus[fold::3]
+        train = [t for i, t in enumerate(corpus) if i % 3 != fold]
+        del estimates[:]
+        result = evaluate_split(train, test, config, catalog)
+        expected, expected_estimates = reference_split(train, test, config, catalog)
+        assert result == expected
+        assert estimates == expected_estimates
+        lead_times.extend(result.lead_times)
+    assert lead_times
+
+
+class ConstantCursor(Classifier):
+    """Uniform predictions under the one tuple cursor ``()``, like a
+    window-0 frequency model: traversals differ only by their state. Every
+    traversal it starts is recorded by its ``(cursor, state)``."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self.outcomes = prediction_outcomes(catalog)
+        self.prediction = Prediction(
+            np.full(len(self.outcomes), 1.0 / len(self.outcomes)), self.outcomes
+        )
+        self.requested = []
+
+    def start(self, trace):
+        self.requested.append(((), trace.states[-1]))
+        return (), self.prediction
+
+    def advance(self, cursor, state):
+        return (), self.prediction
+
+    def train_online(self, trace):
+        pass
+
+
+def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch):
+    walked = []
+    walk = efp.traversal._Walker.walk
+
+    def counting_walk(self, cursor, prediction, state):
+        walked.append((cursor, state))
+        return walk(self, cursor, prediction, state)
+
+    monkeypatch.setattr(efp.traversal._Walker, "walk", counting_walk)
+
+    def trace(names, i, label, error_index=None):
+        return replace(make_trace(order_catalog, names, instance_id=f"t{i}",
+                                  label=label), error_index=error_index)
+
+    train = [
+        trace(["A", "B", "C", "E"], 0, Outcome.END),
+        trace(["A", "B", "C", "D", "G"], 1, Outcome.END),
+        trace(["A", "B", "failure"], 2, Outcome.FAIL),
+    ]
+    # Snapshots at A, B and C; the lead-time scans revisit A and B.
+    test = (
+        [trace(["A", "B", "C", "E"], 10 + i, Outcome.END) for i in range(3)]
+        + [trace(["A", "B", "E"], 20 + i, Outcome.END) for i in range(2)]
+        + [trace(["A", "B", "C", "failure"], 30 + i, Outcome.FAIL, error_index=0)
+           for i in range(3)]
+    )
+    made = []
+
+    def factory(catalog):
+        made.append(ConstantCursor(catalog))
+        return made[-1]
+
+    config = PipelineConfig(classifier_factory=factory)
+    for call in range(2):
+        del walked[:]
+        evaluate_split(train, test, config, order_catalog)
+        requested = made[call].requested
+        distinct = list(dict.fromkeys(requested))
+        assert len(requested) > len(distinct) > 2
+        assert walked == distinct

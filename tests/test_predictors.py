@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from efp.errors import MissingLabel, UnknownEventType, UntrainedModel
-from efp.events import FAIL_STATE, FieldKind, Outcome
+from efp.events import FAIL_STATE, FieldKind, Outcome, catalog_from_traces
 from efp.predictors import (
     FrequencyModel,
+    Prediction,
     encode_trace,
     prediction_outcomes,
     training_pairs,
 )
+from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 
-from conftest import make_catalog, make_trace
+from conftest import make_catalog, make_trace, random_catalog_and_traces
 
 
 @pytest.fixture
@@ -105,6 +107,14 @@ def test_training_pairs_explicit_failure_event(small_catalog):
 def test_training_pairs_require_label(small_catalog):
     with pytest.raises(MissingLabel):
         training_pairs(make_trace(small_catalog, ["A", "B"]), small_catalog)
+
+
+@pytest.mark.parametrize("probs", [
+    [np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf],
+])
+def test_prediction_rejects_nan_and_infinity(probs):
+    with pytest.raises(ValueError):
+        Prediction(np.array(probs), ("a", "b"))
 
 
 def test_untrained_frequency_model_raises(small_catalog):
@@ -241,3 +251,93 @@ def test_frequency_checkpoint_rejects_other_catalog(small_catalog):
     model.train([make_trace(small_catalog, ["A", "B"], label=Outcome.END)])
     with pytest.raises(CheckpointMismatch):
         FrequencyModel.load(model.save(), make_catalog(["X", "Y"]))
+
+
+def reference_counts(model, traces):
+    """Counts as the per-prefix definition gives them: one ``_context`` of
+    every ``training_pairs`` prefix."""
+    counts = {}
+    for trace in traces:
+        for prefix, target in training_pairs(trace, model.catalog):
+            row = counts.setdefault(model._context(prefix),
+                                    np.zeros(len(model.outcomes)))
+            row[model.outcomes.index(target)] += 1.0
+    return counts
+
+
+def assert_counts_equal(counts, expected):
+    assert list(counts) == list(expected)  # same keys, first seen in the same order
+    for key, row in expected.items():
+        assert np.array_equal(counts[key], row), key
+
+
+def one_pass_corpora():
+    """Hand-written traces (binned and categorical context payloads, END
+    and FAIL labels, FAIL with and without a failure event, context events
+    first and last, runs of context events longer than a window), random
+    catalogs and traces, and a generated, fault-injected log."""
+    catalog = make_catalog(["A", "B", "C"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),
+        ("note", (("level", FieldKind.CATEGORICAL),
+                  ("delta", FieldKind.NUMERIC))),
+    ))
+    shapes = [
+        (["A", "B", "C"], Outcome.END),
+        (["temp", "A", "temp", "B", "note", "C", "temp"], Outcome.END),
+        (["A", "temp", "note", "temp", "note", "temp", "B"], Outcome.END),
+        (["A", "temp", "B", "failure"], Outcome.FAIL),
+        (["A", "note", "B", "temp"], Outcome.FAIL),
+        (["temp", "note"], Outcome.FAIL),
+        (["A"], Outcome.END),
+        (["A", "B", "A", "B", "A", "C", "note", "temp"], Outcome.FAIL),
+    ]
+    hand = []
+    for i, (names, label) in enumerate(shapes * 3):
+        hand.append(make_trace(catalog, names, instance_id=f"h{i}", label=label,
+                               payloads={"temp": (10.0 * (i % 5) - 3.5,),
+                                         "note": (f"lvl{i % 3}", 0.25 * i)}))
+    corpora = [(catalog, hand)]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        random_catalog, traces = random_catalog_and_traces(rng, n_traces=12)
+        corpora.append((random_catalog, [t for t in traces
+                                         if t.outcome_label is not None]))
+    spec = default_spec(7)
+    generated = inject_faults(generate(spec, 40), default_fault_plan(spec, 0.5),
+                              seed=3)
+    corpora.append((catalog_from_traces(generated), generated))
+    return corpora
+
+
+@pytest.mark.parametrize("window", [-1, 0, 1, 3, 50])
+def test_one_pass_training_equals_per_prefix_reference(window):
+    for catalog, traces in one_pass_corpora():
+        model = FrequencyModel(catalog, window=window)
+        model.fit_bins(traces)
+        model.train(traces)
+        assert model.trained_traces == len(traces)
+        assert_counts_equal(model.counts, reference_counts(model, traces))
+
+
+@pytest.mark.parametrize("window", [0, 3])
+def test_rejected_trace_leaves_counts_unchanged(window):
+    catalog = make_catalog(["A", "B"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),))
+    wider = make_catalog(["A", "B", "Z"], contexts=(
+        ("temp", (("reading", FieldKind.NUMERIC),)),))
+    model = FrequencyModel(catalog, window=window)
+    model.train([make_trace(catalog, ["A", "temp", "B"], label=Outcome.FAIL,
+                            payloads={"temp": (1.0,)})])
+    before = {key: row.copy() for key, row in model.counts.items()}
+    rejected = [
+        (make_trace(catalog, ["A", "B", "A"]), MissingLabel),
+        # Pairs before the unknown step would count if training went
+        # ahead of the check.
+        (make_trace(wider, ["A", "B", "A", "Z"], label=Outcome.END),
+         UnknownEventType),
+    ]
+    for trace, error in rejected:
+        with pytest.raises(error):
+            model.train_online(trace)
+        assert model.trained_traces == 1
+        assert_counts_equal(model.counts, before)

@@ -6,7 +6,7 @@ import pytest
 from efp.errors import DuplicateInstance
 from efp.events import FAIL_STATE, Event, Outcome
 from efp.model import mine_model
-from efp.predictors import FrequencyModel
+from efp.predictors import FrequencyModel, Prediction
 from efp.runtime import Bus, replay
 from efp.traversal import TraversalLimits
 
@@ -181,6 +181,25 @@ def test_classifier_failure_publishes_error_and_keeps_instance(order_catalog,
     assert not instance.closed
     bus.publish(_event(order_catalog, "B", 1, "i1"))
     assert len(bus.error_queue) == 2
+
+
+def test_diverged_classifier_publishes_error_not_fallback(order_catalog,
+                                                          chain_setup):
+    model, _ = chain_setup
+
+    class Diverged(StubClassifier):
+        """Every prediction is NaN, as from a model whose weights blew up."""
+
+        def _prediction(self, states):
+            return Prediction(np.full(len(self.outcomes), np.nan), self.outcomes)
+
+    bus = Bus()
+    bus.start_instance("i1", Diverged(order_catalog, {}), model)
+    bus.publish(_event(order_catalog, "A", 0, "i1"))
+    assert [e.at_event_index for e in bus.error_queue] == [0]
+    assert "probability distribution" in bus.error_queue[0].message
+    # Not a prediction from a uniform split over the feasible successors.
+    assert not bus.prediction_queue
 
 
 def test_backpressure_blocks_publisher_until_drained(order_catalog):
