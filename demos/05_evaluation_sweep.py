@@ -26,7 +26,7 @@ cells = sweep(
     scenarios,
     k=3,
     n_instances=300,
-    config=PipelineConfig(collect_lead_times=False),
+    config=PipelineConfig(),
     seed=5,
 )
 

@@ -30,7 +30,6 @@ from .predictors import (
     InputRow,
     Prediction,
     encode_trace,
-    training_pairs,
 )
 from .recurrent import RecurrentModel
 from .runtime import Bus, PredictionEvent, replay

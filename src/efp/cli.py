@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,9 @@ def _load_spec(value: str):
 
 def _config(args, seed: int) -> PipelineConfig:
     """Classifier and traversal settings of ``run`` and ``evaluate``."""
-    factory = None
+    factory = partial(FrequencyModel, window=args.window, alpha=args.alpha)
     if args.classifier == "recurrent":
-        factory = lambda catalog: RecurrentModel(catalog, seed=seed)
+        factory = partial(RecurrentModel, seed=seed)
     return PipelineConfig(
         limits=TraversalLimits(
             max_depth=args.max_depth,
@@ -74,8 +75,6 @@ def _config(args, seed: int) -> PipelineConfig:
             min_probability=args.min_probability,
         ),
         threshold=args.threshold,
-        window=args.window,
-        alpha=args.alpha,
         classifier_factory=factory,
     )
 
@@ -149,22 +148,20 @@ def cmd_run(args) -> int:
     else:
         model = mine_model(traces)
 
-    train_traces = None
+    # Bins are fitted on the training log when one is given, else on the input.
+    fit_traces = traces
     if args.train:
         # The training log may hold steps the input log never shows: the
         # classifier's catalog is the input log's, extended by those.
         train_log = read_xes(Path(args.train).read_bytes())
-        train_traces = list(train_log.traces)
+        fit_traces = list(train_log.traces)
         catalog = merge_catalogs(catalog, train_log.catalog)
 
     config = _config(args, seed)
-    classifier = config.build_classifier(catalog)
-    if train_traces is not None:
-        if isinstance(classifier, FrequencyModel):
-            classifier.fit_bins(train_traces)
-        classifier.train(train_traces)
-    elif isinstance(classifier, FrequencyModel):
-        classifier.fit_bins(traces)
+    classifier = config.classifier_factory(catalog)
+    classifier.fit_bins(fit_traces)
+    if args.train:
+        classifier.train(fit_traces)
 
     bus = Bus()
     streams: dict[str, list] = {}

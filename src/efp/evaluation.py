@@ -15,12 +15,14 @@ same ``(cursor, state)`` share one walk.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyMatrix, InsufficientData
 from .events import (
+    EventCatalog,
     EventKind,
     EventTrace,
     Outcome,
@@ -29,7 +31,7 @@ from .events import (
     filter_visibility,
 )
 from .model import mine_model
-from .predictors import FrequencyModel
+from .predictors import Classifier, FrequencyModel
 from .synthesis import CollaborationSpec, generate, inject_faults
 from .traversal import (
     Classification,
@@ -234,19 +236,19 @@ def _lead_time(trace, classifier, model, limits, threshold, memo) -> int | None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Classifier/traversal settings shared by the evaluation entry points."""
+    """Classifier/traversal settings shared by the evaluation entry points.
+
+    ``classifier_factory(catalog)`` builds a fresh, untrained classifier;
+    the default is the frequency baseline with its default settings.
+    """
 
     limits: TraversalLimits = TraversalLimits()
     threshold: float = 0.5
-    window: int = 3
-    alpha: float = 1.0
-    classifier_factory: object | None = None
-    collect_lead_times: bool = True
+    classifier_factory: Callable[[EventCatalog], Classifier] = FrequencyModel
 
-    def build_classifier(self, catalog):
-        if self.classifier_factory is not None:
-            return self.classifier_factory(catalog)
-        return FrequencyModel(catalog, window=self.window, alpha=self.alpha)
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie in (0, 1)")
 
 
 def evaluate_split(
@@ -258,9 +260,8 @@ def evaluate_split(
     """Train on one trace set, classify another, return fold metrics."""
     catalog = catalog or catalog_from_traces(list(train) + list(test))
     model = mine_model(train)
-    classifier = config.build_classifier(catalog)
-    if isinstance(classifier, FrequencyModel):
-        classifier.fit_bins(train)
+    classifier = config.classifier_factory(catalog)
+    classifier.fit_bins(train)
     classifier.train(train)
 
     cm = ConfusionMatrix()
@@ -279,11 +280,7 @@ def evaluate_split(
             verdict = Classification.PREDICT_END
         actual_fail = trace.outcome_label is Outcome.FAIL
         cm = cm.add(actual_fail, verdict is Classification.PREDICT_FAIL)
-        if (
-            config.collect_lead_times
-            and actual_fail
-            and len(lead_times) < MAX_LEAD_SAMPLES
-        ):
+        if actual_fail and len(lead_times) < MAX_LEAD_SAMPLES:
             lead = _lead_time(
                 trace, classifier, model, config.limits, config.threshold, memo
             )

@@ -235,10 +235,6 @@ class Scenario:
         return "nocontext" if self.drop_context else "global"
 
 
-GLOBAL = Scenario()
-NO_CONTEXT_GLOBAL = Scenario(drop_context=True)
-
-
 def catalog_from_traces(traces: list[EventTrace]) -> EventCatalog:
     """Build a catalog covering every event type observed in the traces.
 

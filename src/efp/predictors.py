@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -110,7 +111,7 @@ def training_targets(
     trace: EventTrace, catalog: EventCatalog
 ) -> list[tuple[int, str]]:
     """(prefix length, next step) of each training pair of a completed
-    labeled trace, in trace order; ``training_pairs`` gives the prefixes.
+    labeled trace, in trace order; a prefix is ``trace.events[:length]``.
 
     The first intrinsic event gets no pair (the start of a process is
     given, not predicted). A ``fail``-labeled trace without an explicit
@@ -135,17 +136,6 @@ def training_targets(
     if trace.outcome_label is Outcome.FAIL and last_state != FAIL_STATE:
         targets.append((len(trace.events), FAIL_STATE))
     return targets
-
-
-def training_pairs(
-    trace: EventTrace, catalog: EventCatalog
-) -> list[tuple[tuple[Event, ...], str]]:
-    """(prefix, next step) pairs of a completed labeled trace; see
-    ``training_targets``."""
-    return [
-        (trace.events[:cut], target)
-        for cut, target in training_targets(trace, catalog)
-    ]
 
 
 class Classifier:
@@ -177,6 +167,10 @@ class Classifier:
     def advance(self, cursor, state: str):
         raise NotImplementedError
 
+    def fit_bins(self, traces: list[EventTrace]) -> None:
+        """Fit what the classifier derives from a log before learning from
+        it (the frequency model's payload bins). A no-op by default."""
+
     def train_online(self, trace: EventTrace) -> None:
         raise NotImplementedError
 
@@ -198,6 +192,10 @@ class FrequencyModel(Classifier):
 
     def __init__(self, catalog: EventCatalog, window: int = 3, alpha: float = 1.0,
                  bins: int = 8):
+        if not math.isfinite(alpha) or alpha <= 0:
+            raise ValueError(f"alpha must be a positive finite number, got {alpha}")
+        if bins < 1:
+            raise ValueError(f"bins must be at least 1, got {bins}")
         self.catalog = catalog
         self.window = window
         self.alpha = alpha
@@ -214,13 +212,17 @@ class FrequencyModel(Classifier):
 
     # -- tokenization -----------------------------------------------------
 
-    def _bin(self, type_name: str, position: int, value: float) -> int:
+    def _bin(self, type_name: str, position: int, value: float) -> int | None:
+        # A NaN reading is a token of its own; readings beyond the fitted
+        # range, infinite ones included, fall into the edge bins.
+        value = float(value)
+        if math.isnan(value):
+            return None
         lo, hi = self.bin_ranges.get((type_name, position), (0.0, 0.0))
         if hi <= lo:
             return 0
         width = (hi - lo) / self.bins
-        b = int((float(value) - lo) / width)
-        return min(max(b, 0), self.bins - 1)
+        return int(min(max((value - lo) / width, 0.0), self.bins - 1))
 
     def _token(self, event: Event) -> tuple:
         # Intrinsic steps condition by name only: their payloads are
@@ -245,7 +247,8 @@ class FrequencyModel(Classifier):
         return tuple(self._token(e) for e in tail)
 
     def fit_bins(self, traces: list[EventTrace]) -> None:
-        """Fit equal-width bin ranges for numeric payload fields.
+        """Fit equal-width bin ranges for numeric payload fields over
+        their finite readings.
 
         Must run before training when payload sensitivity is wanted;
         without it numeric payloads all land in bin 0.
@@ -257,8 +260,10 @@ class FrequencyModel(Classifier):
                 for i, value in enumerate(event.payload):
                     if event.event_type.data_schema[i][1] is not FieldKind.NUMERIC:
                         continue
-                    key = (event.event_type.name, i)
                     v = float(value)
+                    if not math.isfinite(v):
+                        continue
+                    key = (event.event_type.name, i)
                     lows[key] = min(lows.get(key, v), v)
                     highs[key] = max(highs.get(key, v), v)
         self.bin_ranges = {k: (lows[k], highs[k]) for k in lows}

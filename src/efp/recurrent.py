@@ -19,7 +19,7 @@ from .predictors import (
     _catalog_hash,
     encode_trace,
     prediction_outcomes,
-    training_pairs,
+    training_targets,
 )
 
 HIDDEN_SIZE = 32
@@ -39,14 +39,10 @@ class RecurrentModel(Classifier):
     """Next-step classifier backed by a small recurrent network."""
 
     def __init__(self, catalog: EventCatalog, seed: int = 0,
-                 hidden_size: int = HIDDEN_SIZE,
-                 learning_rate: float = LEARNING_RATE,
-                 max_sequence: int = MAX_SEQUENCE):
+                 hidden_size: int = HIDDEN_SIZE):
         self.catalog = catalog
         self.seed = seed
         self.hidden_size = hidden_size
-        self.learning_rate = learning_rate
-        self.max_sequence = max_sequence
         self.outcomes = prediction_outcomes(catalog)
         self.input_size = len(catalog.all_types) + catalog.max_data_arity
         self.output_size = len(self.outcomes)
@@ -84,7 +80,7 @@ class RecurrentModel(Classifier):
     def start(self, trace: EventTrace):
         self._check(trace)
         hidden = np.zeros(self.hidden_size)
-        rows = encode_trace(trace, self.catalog)[-self.max_sequence:]
+        rows = encode_trace(trace, self.catalog)[-MAX_SEQUENCE:]
         for row in rows:
             hidden = self._step(hidden, row.concat())
         return hidden, self._readout(hidden)
@@ -138,12 +134,12 @@ class RecurrentModel(Classifier):
         immediate parameter update.
         """
         all_rows = [r.concat() for r in encode_trace(trace, self.catalog)]
-        for prefix, target in training_pairs(trace, self.catalog):
-            rows = all_rows[:len(prefix)][-self.max_sequence:]
+        for cut, target in training_targets(trace, self.catalog):
+            rows = all_rows[:cut][-MAX_SEQUENCE:]
             _, grads = self.loss_and_grads(rows, self.outcomes.index(target))
             for name in _PARAM_NAMES:
                 param = getattr(self, name)
-                param -= self.learning_rate * grads[name]
+                param -= LEARNING_RATE * grads[name]
 
     # -- parameter plumbing (used by the gradient check) ----------------------
 
@@ -175,8 +171,6 @@ class RecurrentModel(Classifier):
             catalog=_catalog_hash(self.catalog),
             seed=self.seed,
             hidden_size=self.hidden_size,
-            learning_rate=self.learning_rate,
-            max_sequence=self.max_sequence,
             w_in=self.w_in,
             w_rec=self.w_rec,
             b_rec=self.b_rec,
@@ -187,6 +181,8 @@ class RecurrentModel(Classifier):
 
     @classmethod
     def load(cls, blob: bytes, catalog: EventCatalog) -> "RecurrentModel":
+        # Checkpoints of earlier versions also hold ``learning_rate`` and
+        # ``max_sequence``; the module constants apply, so they are not read.
         data = np.load(io.BytesIO(blob))
         if str(data["format"]) != "efp-recurrent":
             raise CheckpointMismatch("not a recurrent-model checkpoint")
@@ -196,8 +192,6 @@ class RecurrentModel(Classifier):
             catalog,
             seed=int(data["seed"]),
             hidden_size=int(data["hidden_size"]),
-            learning_rate=float(data["learning_rate"]),
-            max_sequence=int(data["max_sequence"]),
         )
         for name in _PARAM_NAMES:
             setattr(model, name, data[name])

@@ -671,13 +671,7 @@ def default_fault_plan(
             partner="courier", visibility=Visibility.PUBLIC,
             steps_to_failure=1,
         )
-        data = None
-        if DATA_FAULT in fault_types:
-            raise ValueError("minimal spec has no context source for data faults")
     else:
-        temperature = next(
-            s for s in spec.context_sources if s.name == "temperature"
-        )
         step = StepFaultShape(
             divert_after="select_supplier",
             alt_path=("escalate_order", "manual_sourcing", "emergency_purchase"),
@@ -689,6 +683,14 @@ def default_fault_plan(
             partner="carrier", visibility=Visibility.PUBLIC,
             steps_to_failure=2,
         )
+    data = None
+    if DATA_FAULT in fault_types:
+        temperature = next(
+            (s for s in spec.context_sources if s.name == "temperature"), None
+        )
+        if temperature is None:
+            raise ValueError(f"spec {spec.name!r} has no 'temperature' "
+                             "context source for data faults")
         data = DataFaultShape(
             target_context="temperature", at_step="transport_leg_1",
             field_name=temperature.field_name, mu=temperature.mu,

@@ -167,7 +167,7 @@ def test_criterion_06_detectability_by_fault_type():
     spec = default_spec(600)
     clean = generate(spec, 6_000)
     floors = {STEP_FAULT: 0.7, EVENT_FAULT: 0.6, DATA_FAULT: 0.5}
-    config = PipelineConfig(collect_lead_times=False)
+    config = PipelineConfig()
     for fault_type, floor in floors.items():
         plan = default_fault_plan(spec, 0.5, (fault_type,))
         injected = inject_faults(clean, plan, seed=601)
@@ -180,7 +180,7 @@ def test_criterion_06_detectability_by_fault_type():
 
 def test_criterion_07_visibility_ordering():
     started = time.monotonic()
-    config = PipelineConfig(collect_lead_times=False)
+    config = PipelineConfig()
     scenarios = {
         "global": Scenario.parse("global"),
         "local": Scenario.parse("local:carrier"),

@@ -335,3 +335,48 @@ def test_run_reports_prediction_errors_on_stderr(training_and_input_logs,
     )
     assert "warning" not in captured.out
     assert captured.out.endswith("detected 19/19\n")
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("threshold", ["0", "1.5"])
+def test_threshold_outside_unit_interval_is_usage_error(tmp_path, small_log,
+                                                       capsys, command, threshold):
+    if command == "run":
+        args = ("run", "--in", str(small_log), "--out", str(tmp_path / "p.tsv"))
+    else:
+        args = ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))
+    assert run_cli(*args, "--threshold", threshold) == 2
+    assert capsys.readouterr().err == "error: threshold must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_non_positive_alpha_is_usage_error(tmp_path, training_and_input_logs,
+                                           capsys, command):
+    train, _ = training_and_input_logs
+    if command == "run":
+        args = ("run", "--in", str(train), "--out", str(tmp_path / "p.tsv"))
+    else:
+        args = ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))
+    assert run_cli(*args, "--alpha", "0") == 2
+    assert capsys.readouterr().err.startswith("error: alpha must be")
+
+
+def test_fault_plans_on_a_spec_without_temperature(tmp_path, capsys):
+    spec = tmp_path / "three.spec"
+    spec.write_text("name three\nseed 0\npartner shop\ntask a shop private\n"
+                    "task b shop private\ntask c shop private\n", encoding="utf-8")
+    log, out = tmp_path / "three.xes", tmp_path / "out.xes"
+    assert run_cli("simulate", "--spec", str(spec), "--n", "5",
+                   "--out", str(log)) == 0
+    capsys.readouterr()
+    # Data faults need the spec's temperature source.
+    for args in (("inject", "--in", str(log), "--out", str(out), "--rate", "0.5"),
+                 ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))):
+        assert run_cli(*args, "--spec", str(spec)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'temperature'" in err
+        assert err.count("\n") == 1
+    # Other fault types do not.
+    assert run_cli("inject", "--in", str(log), "--out", str(out), "--rate", "0",
+                   "--spec", str(spec), "--fault-types", "step,event") == 0
+    assert len(read_xes(out.read_bytes())) == 5

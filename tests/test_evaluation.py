@@ -129,7 +129,7 @@ def test_fold_sizes_are_balanced():
                                  label=label))
     report = cross_validate(
         traces, k=10, seed=0,
-        config=PipelineConfig(collect_lead_times=False),
+        config=PipelineConfig(),
     )
     assert len(report.per_fold) == 10
     assert all(abs(f.test_size - 315) <= 1 for f in report.per_fold)
@@ -138,9 +138,7 @@ def test_fold_sizes_are_balanced():
 
 
 def test_cross_validate_perfect_oracle(injected_corpus):
-    config = PipelineConfig(
-        classifier_factory=MarkerOracle, collect_lead_times=False
-    )
+    config = PipelineConfig(classifier_factory=MarkerOracle)
     report = cross_validate(injected_corpus, k=4, config=config, seed=1)
     assert report.precision == 1.0
     assert report.recall == 1.0
@@ -150,7 +148,7 @@ def test_cross_validate_perfect_oracle(injected_corpus):
 
 
 def test_cross_validate_deterministic(injected_corpus):
-    config = PipelineConfig(collect_lead_times=False)
+    config = PipelineConfig()
     a = cross_validate(injected_corpus, k=3, config=config, seed=5)
     b = cross_validate(injected_corpus, k=3, config=config, seed=5)
     assert a == b
@@ -185,7 +183,7 @@ def test_single_class_folds_are_skipped_and_recorded():
                    label=Outcome.FAIL)
     ]
     report = cross_validate(traces, k=4, seed=0,
-                            config=PipelineConfig(collect_lead_times=False))
+                            config=PipelineConfig())
     # the lone failure lands in one test fold; the rest are single-class
     assert len(report.per_fold) + len(report.skipped_folds) == 4
     assert len(report.skipped_folds) >= 1
@@ -219,7 +217,7 @@ def test_evaluation_prefix_rules(order_catalog):
 
 def test_report_summary_mentions_both_summaries(injected_corpus):
     report = cross_validate(injected_corpus, k=3, seed=2,
-                            config=PipelineConfig(collect_lead_times=False))
+                            config=PipelineConfig())
     text = report.summary()
     assert "per-fold means" in text
     assert "pooled matrix" in text
@@ -237,7 +235,7 @@ def test_sweep_grid_and_outputs():
         scenarios,
         k=2,
         n_instances=80,
-        config=PipelineConfig(collect_lead_times=False),
+        config=PipelineConfig(),
         seed=12,
     )
     assert len(cells) == 4
@@ -259,7 +257,7 @@ def test_mcc_sweet_spot_at_moderate_rates():
     # peaks in the middle of the rate range.
     spec = default_spec(42)
     clean = generate(spec, 400)
-    config = PipelineConfig(collect_lead_times=False)
+    config = PipelineConfig()
     mcc = {}
     for rate in (0.1, 0.5, 0.9):
         injected = inject_faults(clean, default_fault_plan(spec, rate), seed=9)
@@ -269,7 +267,7 @@ def test_mcc_sweet_spot_at_moderate_rates():
 
 
 def test_global_beats_local_directionally(injected_corpus):
-    config = PipelineConfig(collect_lead_times=False)
+    config = PipelineConfig()
     from efp.events import filter_visibility
 
     global_report = cross_validate(injected_corpus, k=3, config=config, seed=4)
@@ -283,9 +281,8 @@ def reference_split(train, test, config, catalog):
     lead-time prefix gets a traversal of its own. Returns the fold result
     and every failure estimate, in the order they were made."""
     model = mine_model(train)
-    classifier = config.build_classifier(catalog)
-    if isinstance(classifier, FrequencyModel):
-        classifier.fit_bins(train)
+    classifier = config.classifier_factory(catalog)
+    classifier.fit_bins(train)
     classifier.train(train)
     estimates = []
 
@@ -317,8 +314,8 @@ def reference_split(train, test, config, catalog):
 
 
 @pytest.mark.parametrize("config, n_traces", [
-    (PipelineConfig(window=0), 240),
-    (PipelineConfig(window=3), 240),
+    (PipelineConfig(classifier_factory=lambda catalog: FrequencyModel(catalog, window=0)), 240),
+    (PipelineConfig(classifier_factory=lambda catalog: FrequencyModel(catalog, window=3)), 240),
     (PipelineConfig(classifier_factory=lambda catalog: RecurrentModel(catalog)), 30),
 ], ids=["frequency-window-0", "frequency-window-3", "recurrent"])
 def test_memoized_folds_equal_unmemoized_reference(injected_corpus, config,

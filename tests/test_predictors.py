@@ -8,7 +8,7 @@ from efp.predictors import (
     Prediction,
     encode_trace,
     prediction_outcomes,
-    training_pairs,
+    training_targets,
 )
 from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 
@@ -88,25 +88,25 @@ def test_encode_injective_on_type_sequences(small_catalog):
 
 def test_training_pairs_end_label(small_catalog):
     trace = make_trace(small_catalog, ["A", "B"], label=Outcome.END)
-    pairs = training_pairs(trace, small_catalog)
-    assert [(len(p), t) for p, t in pairs] == [(1, "B")]
+    pairs = training_targets(trace, small_catalog)
+    assert pairs == [(1, "B")]
 
 
 def test_training_pairs_fail_label_adds_terminal(small_catalog):
     trace = make_trace(small_catalog, ["A", "B"], label=Outcome.FAIL)
-    pairs = training_pairs(trace, small_catalog)
-    assert [(len(p), t) for p, t in pairs] == [(1, "B"), (2, FAIL_STATE)]
+    pairs = training_targets(trace, small_catalog)
+    assert pairs == [(1, "B"), (2, FAIL_STATE)]
 
 
 def test_training_pairs_explicit_failure_event(small_catalog):
     trace = make_trace(small_catalog, ["A", "B", "failure"], label=Outcome.FAIL)
-    pairs = training_pairs(trace, small_catalog)
+    pairs = training_targets(trace, small_catalog)
     assert [t for _, t in pairs] == ["B", FAIL_STATE]
 
 
 def test_training_pairs_require_label(small_catalog):
     with pytest.raises(MissingLabel):
-        training_pairs(make_trace(small_catalog, ["A", "B"]), small_catalog)
+        training_targets(make_trace(small_catalog, ["A", "B"]), small_catalog)
 
 
 @pytest.mark.parametrize("probs", [
@@ -253,13 +253,53 @@ def test_frequency_checkpoint_rejects_other_catalog(small_catalog):
         FrequencyModel.load(model.save(), make_catalog(["X", "Y"]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def test_non_finite_readings_bin_without_error(small_catalog):
+    def trace(reading, i=0):
+        return make_trace(small_catalog, ["A", "C_temp", "B"], instance_id=f"t{i}",
+                          payloads={"C_temp": (reading,)}, label=Outcome.END)
+
+    # A NaN first among the fit readings must not poison the range.
+    corpus = [trace(r, i) for i, r in enumerate([NAN, 1.0, INF, 5.0, -INF])]
+    model = FrequencyModel(small_catalog, window=2)
+    model.fit_bins(corpus)
+    assert model.bin_ranges == {("C_temp", 0): (1.0, 5.0)}
+    tokens = [model._token(trace(r).events[1])[1]
+              for r in (NAN, -INF, 0.0, 1.0, 4.9, 5.0, 9.0, INF)]
+    assert tokens == [None, 0, 0, 0, 7, 7, 7, 7]
+
+    model.train(corpus)
+    b = model.outcomes.index("B")
+    assert model.counts[(("A",), ("C_temp", None))][b] == 1.0
+    assert model.counts[(("A",), ("C_temp", 0))][b] == 2.0
+    assert model.counts[(("A",), ("C_temp", 7))][b] == 2.0
+    clone = FrequencyModel.load(model.save(), small_catalog)
+    for reading in (NAN, INF, -INF):
+        probe = make_trace(small_catalog, ["A", "C_temp"],
+                           payloads={"C_temp": (reading,)})
+        prediction = model.start(probe)[1]
+        assert prediction.prob("B") > prediction.prob(FAIL_STATE)
+        assert np.array_equal(clone.start(probe)[1].probs, prediction.probs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"alpha": 0.0}, "alpha"), ({"alpha": -1.0}, "alpha"),
+    ({"alpha": NAN}, "alpha"), ({"alpha": INF}, "alpha"), ({"bins": 0}, "bins"),
+])
+def test_frequency_model_rejects_bad_alpha_and_bins(small_catalog, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        FrequencyModel(small_catalog, **kwargs)
+
+
 def reference_counts(model, traces):
     """Counts as the per-prefix definition gives them: one ``_context`` of
-    every ``training_pairs`` prefix."""
+    every ``training_targets`` prefix."""
     counts = {}
     for trace in traces:
-        for prefix, target in training_pairs(trace, model.catalog):
-            row = counts.setdefault(model._context(prefix),
+        for cut, target in training_targets(trace, model.catalog):
+            row = counts.setdefault(model._context(trace.events[:cut]),
                                     np.zeros(len(model.outcomes)))
             row[model.outcomes.index(target)] += 1.0
     return counts
