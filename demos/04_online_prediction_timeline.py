@@ -11,7 +11,6 @@ four steps before the failure actually happens.
 from efp import FrequencyModel, mine_model, replay
 from efp.events import Outcome, catalog_from_traces
 from efp.synthesis import (
-    STEP_FAULT,
     CollaborationSpec,
     FaultPlan,
     StepFaultShape,
@@ -28,11 +27,12 @@ spec = CollaborationSpec(
 )
 plan = FaultPlan(
     rate=0.05,
-    type_weights=((STEP_FAULT, 1.0),),
-    step_fault=StepFaultShape(
-        divert_after="s11",
-        alt_path=("d12", "d13", "d14", "d15"),
-        partner="plant",
+    shapes=(
+        StepFaultShape(
+            divert_after="s11",
+            alt_path=("d12", "d13", "d14", "d15"),
+            partner="plant",
+        ),
     ),
 )
 

@@ -164,10 +164,14 @@ class MetricReport:
         return tuple(out)
 
     def summary(self) -> str:
+        folds = f"folds evaluated: {len(self.per_fold)}" + (
+            f" (skipped: {len(self.skipped_folds)})" if self.skipped_folds else ""
+        )
+        if not self.per_fold:
+            return folds
         pooled_p, pooled_r, pooled_m = metrics(self.pooled)
         lines = [
-            f"folds evaluated: {len(self.per_fold)}"
-            + (f" (skipped: {len(self.skipped_folds)})" if self.skipped_folds else ""),
+            folds,
             f"per-fold means: precision {self.precision:.3f} "
             f"(sigma {self.sigma('precision'):.3f}), recall {self.recall:.3f} "
             f"(sigma {self.sigma('recall'):.3f}), mcc {self.mcc:.3f} "

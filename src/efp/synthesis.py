@@ -284,6 +284,9 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
 # -- fault plans ------------------------------------------------------------
 
 
+FAILURE_TYPE = EventType(EventKind.FAILURE, "failure")
+
+
 @dataclass(frozen=True)
 class StepFaultShape:
     """Divert the successor of one step onto an alternative path."""
@@ -291,6 +294,24 @@ class StepFaultShape:
     divert_after: str
     alt_path: tuple[str, ...]
     partner: str
+
+    def apply(self, trace: EventTrace, rng) -> EventTrace:
+        cut = _find_state(trace, self.divert_after)
+        events = list(trace.events[: cut + 1])
+        error_index = len(events)
+        ts = events[-1].timestamp
+        for name in self.alt_path:
+            ts += int(rng.integers(1_000, 30_000))
+            events.append(
+                Event(
+                    event_type=EventType(EventKind.STEP, name),
+                    timestamp=ts,
+                    global_instance_id=trace.instance_id,
+                    partner_id=self.partner,
+                    visibility=Visibility.PRIVATE,
+                )
+            )
+        return _fail(trace, events, error_index, self.partner)
 
 
 @dataclass(frozen=True)
@@ -305,6 +326,32 @@ class EventFaultShape:
     partner: str
     visibility: Visibility
     steps_to_failure: int
+
+    def apply(self, trace: EventTrace, rng) -> EventTrace:
+        at = _find_state(trace, self.error_step)
+        events = list(trace.events[: at + 1])
+        alarm_type = EventType(
+            EventKind.CONTEXT,
+            self.alarm_name,
+            ((self.alarm_field, FieldKind.NUMERIC),),
+        )
+        ts = events[-1].timestamp + int(rng.integers(500, 5_000))
+        events.append(
+            Event(
+                event_type=alarm_type,
+                timestamp=ts,
+                global_instance_id=trace.instance_id,
+                partner_id=self.partner,
+                visibility=self.visibility,
+                payload=(float(rng.normal(self.alarm_mu, self.alarm_sigma)),),
+            )
+        )
+        error_index = len(events) - 1
+        tail = _keep_until(trace, at + 1, self.steps_to_failure)
+        shifted = ts - trace.events[at].timestamp
+        for event in tail:
+            events.append(replace(event, timestamp=event.timestamp + shifted))
+        return _fail(trace, events, error_index, self.partner)
 
 
 @dataclass(frozen=True)
@@ -325,36 +372,59 @@ class DataFaultShape:
     def shifted_value(self) -> float:
         return self.mu + self.shift_sigmas * self.sigma
 
+    def apply(self, trace: EventTrace, rng) -> EventTrace:
+        at = _find_state(trace, self.at_step)
+        target = None
+        for i in range(at + 1, len(trace.events)):
+            event = trace.events[i]
+            if event.event_type.name == self.target_context:
+                target = i
+                break
+            if event.is_intrinsic:
+                break  # the reading belongs right after the step
+        events = list(trace.events)
+        if target is not None:
+            events[target] = replace(events[target], payload=(self.shifted_value,))
+        else:
+            reading_type = EventType(
+                EventKind.CONTEXT,
+                self.target_context,
+                ((self.field_name, FieldKind.NUMERIC),),
+            )
+            insert_ts = events[at].timestamp + int(rng.integers(500, 2_000))
+            events.insert(
+                at + 1,
+                Event(
+                    event_type=reading_type,
+                    timestamp=min(insert_ts, events[at + 1].timestamp)
+                    if at + 1 < len(events)
+                    else insert_ts,
+                    global_instance_id=trace.instance_id,
+                    partner_id=self.partner,
+                    visibility=self.visibility,
+                    payload=(self.shifted_value,),
+                ),
+            )
+            target = at + 1
+        kept = events[: target + 1] + _keep_until(
+            replace(trace, events=tuple(events)), target + 1, self.steps_to_failure
+        )
+        return _fail(trace, kept, target, self.partner)
+
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Injection rate, fault-type mix, and the concrete manifestations."""
+    """Injection rate and the fault shapes a selected trace draws from,
+    each with equal weight."""
 
     rate: float
-    type_weights: tuple[tuple[str, float], ...]
-    step_fault: StepFaultShape | None = None
-    event_fault: EventFaultShape | None = None
-    data_fault: DataFaultShape | None = None
+    shapes: tuple[StepFaultShape | EventFaultShape | DataFaultShape, ...]
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
-        total = sum(w for _, w in self.type_weights)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("type weights must sum to 1")
-        for fault_type, weight in self.type_weights:
-            if weight > 0 and self._shape(fault_type) is None:
-                raise ValueError(f"no manifestation for fault type {fault_type!r}")
-
-    def _shape(self, fault_type: str):
-        return {
-            STEP_FAULT: self.step_fault,
-            EVENT_FAULT: self.event_fault,
-            DATA_FAULT: self.data_fault,
-        }[fault_type]
-
-
-FAILURE_TYPE = EventType(EventKind.FAILURE, "failure")
+        if not self.shapes:
+            raise ValueError("a fault plan needs at least one shape")
 
 
 def inject_faults(
@@ -368,25 +438,17 @@ def inject_faults(
     index of the first event manifesting the error. Unselected traces are
     returned untouched.
     """
-    names = [t for t, _ in plan.type_weights]
-    weights = np.array([w for _, w in plan.type_weights])
+    n_shapes = len(plan.shapes)
+    weights = np.full(n_shapes, 1.0 / n_shapes)
     out = []
     for i, trace in enumerate(traces):
         rng = np.random.default_rng([seed, i, 0x5EED])
         if plan.rate <= 0.0 or rng.random() >= plan.rate:
             out.append(trace)
             continue
-        fault_type = names[rng.choice(len(names), p=weights)]
-        out.append(_apply_fault(trace, plan, fault_type, rng))
+        shape = plan.shapes[rng.choice(n_shapes, p=weights)]
+        out.append(shape.apply(trace, rng))
     return out
-
-
-def _apply_fault(trace, plan, fault_type, rng) -> EventTrace:
-    if fault_type == STEP_FAULT:
-        return _apply_step_fault(trace, plan.step_fault, rng)
-    if fault_type == EVENT_FAULT:
-        return _apply_event_fault(trace, plan.event_fault, rng)
-    return _apply_data_fault(trace, plan.data_fault, rng)
 
 
 def _find_state(trace, state: str) -> int:
@@ -396,43 +458,22 @@ def _find_state(trace, state: str) -> int:
     raise PlanMismatch(f"step {state!r} absent from trace {trace.instance_id!r}")
 
 
-def _failure_event(trace, after_ts: int, partner: str) -> Event:
-    return Event(
+def _fail(trace, events, error_index, partner: str) -> EventTrace:
+    """``trace`` relabeled as failed: ``events`` closed by a failure event
+    five seconds after the last of them, the error at ``error_index``."""
+    failure = Event(
         event_type=FAILURE_TYPE,
-        timestamp=after_ts + 5_000,
+        timestamp=events[-1].timestamp + 5_000,
         global_instance_id=trace.instance_id,
         partner_id=partner,
         visibility=Visibility.PUBLIC,
     )
-
-
-def _finish(trace, events, error_index) -> EventTrace:
     return replace(
         trace,
-        events=tuple(events),
+        events=(*events, failure),
         outcome_label=Outcome.FAIL,
         error_index=error_index,
     )
-
-
-def _apply_step_fault(trace, shape: StepFaultShape, rng) -> EventTrace:
-    cut = _find_state(trace, shape.divert_after)
-    events = list(trace.events[: cut + 1])
-    error_index = len(events)
-    ts = events[-1].timestamp
-    for name in shape.alt_path:
-        ts += int(rng.integers(1_000, 30_000))
-        events.append(
-            Event(
-                event_type=EventType(EventKind.STEP, name),
-                timestamp=ts,
-                global_instance_id=trace.instance_id,
-                partner_id=shape.partner,
-                visibility=Visibility.PRIVATE,
-            )
-        )
-    events.append(_failure_event(trace, ts, shape.partner))
-    return _finish(trace, events, error_index)
 
 
 def _keep_until(trace, start: int, intrinsic_count: int) -> list[Event]:
@@ -451,76 +492,6 @@ def _keep_until(trace, start: int, intrinsic_count: int) -> list[Event]:
             f"trace {trace.instance_id!r} too short for the failure point"
         )
     return kept
-
-
-def _apply_event_fault(trace, shape: EventFaultShape, rng) -> EventTrace:
-    at = _find_state(trace, shape.error_step)
-    events = list(trace.events[: at + 1])
-    alarm_type = EventType(
-        EventKind.CONTEXT,
-        shape.alarm_name,
-        ((shape.alarm_field, FieldKind.NUMERIC),),
-    )
-    ts = events[-1].timestamp + int(rng.integers(500, 5_000))
-    events.append(
-        Event(
-            event_type=alarm_type,
-            timestamp=ts,
-            global_instance_id=trace.instance_id,
-            partner_id=shape.partner,
-            visibility=shape.visibility,
-            payload=(float(rng.normal(shape.alarm_mu, shape.alarm_sigma)),),
-        )
-    )
-    error_index = len(events) - 1
-    tail = _keep_until(trace, at + 1, shape.steps_to_failure)
-    shifted = ts - trace.events[at].timestamp
-    for event in tail:
-        events.append(replace(event, timestamp=event.timestamp + shifted))
-    events.append(_failure_event(trace, events[-1].timestamp, shape.partner))
-    return _finish(trace, events, error_index)
-
-
-def _apply_data_fault(trace, shape: DataFaultShape, rng) -> EventTrace:
-    at = _find_state(trace, shape.at_step)
-    target = None
-    for i in range(at + 1, len(trace.events)):
-        event = trace.events[i]
-        if event.event_type.name == shape.target_context:
-            target = i
-            break
-        if event.is_intrinsic:
-            break  # the reading belongs right after the step
-    events = list(trace.events)
-    if target is not None:
-        events[target] = replace(events[target], payload=(shape.shifted_value,))
-    else:
-        reading_type = EventType(
-            EventKind.CONTEXT,
-            shape.target_context,
-            ((shape.field_name, FieldKind.NUMERIC),),
-        )
-        insert_ts = events[at].timestamp + int(rng.integers(500, 2_000))
-        events.insert(
-            at + 1,
-            Event(
-                event_type=reading_type,
-                timestamp=min(insert_ts, events[at + 1].timestamp)
-                if at + 1 < len(events)
-                else insert_ts,
-                global_instance_id=trace.instance_id,
-                partner_id=shape.partner,
-                visibility=shape.visibility,
-                payload=(shape.shifted_value,),
-            ),
-        )
-        target = at + 1
-    error_index = target
-    kept = events[: target + 1] + _keep_until(
-        replace(trace, events=tuple(events)), target + 1, shape.steps_to_failure
-    )
-    kept.append(_failure_event(trace, kept[-1].timestamp, shape.partner))
-    return _finish(trace, kept, error_index)
 
 
 # -- bundled specs ------------------------------------------------------------
@@ -657,8 +628,14 @@ def default_fault_plan(
     rate: float,
     fault_types: tuple[str, ...] = FAULT_TYPES,
 ) -> FaultPlan:
-    """Equal-weight plan over the requested fault types with manifestations
-    matched to the bundled specs."""
+    """Plan drawing the requested fault types, in ``fault_types`` order and
+    with equal weight, as shapes matched to the bundled specs.
+
+    Raises ``ValueError`` for a name outside :data:`FAULT_TYPES`.
+    """
+    for fault_type in fault_types:
+        if fault_type not in FAULT_TYPES:
+            raise ValueError(f"unknown fault type {fault_type!r}")
     if spec.name == "minimal":
         step = StepFaultShape(
             divert_after="pack_parcel",
@@ -683,7 +660,7 @@ def default_fault_plan(
             partner="carrier", visibility=Visibility.PUBLIC,
             steps_to_failure=2,
         )
-    data = None
+    shapes = {STEP_FAULT: step, EVENT_FAULT: event}
     if DATA_FAULT in fault_types:
         temperature = next(
             (s for s in spec.context_sources if s.name == "temperature"), None
@@ -691,21 +668,14 @@ def default_fault_plan(
         if temperature is None:
             raise ValueError(f"spec {spec.name!r} has no 'temperature' "
                              "context source for data faults")
-        data = DataFaultShape(
+        shapes[DATA_FAULT] = DataFaultShape(
             target_context="temperature", at_step="transport_leg_1",
             field_name=temperature.field_name, mu=temperature.mu,
             sigma=temperature.sigma, shift_sigmas=6.0,
             partner="carrier", visibility=temperature.visibility,
             steps_to_failure=2,
         )
-    weight = 1.0 / len(fault_types)
-    return FaultPlan(
-        rate=rate,
-        type_weights=tuple((t, weight) for t in fault_types),
-        step_fault=step,
-        event_fault=event,
-        data_fault=data,
-    )
+    return FaultPlan(rate, tuple(shapes[t] for t in fault_types))
 
 
 # -- spec file format ----------------------------------------------------------

@@ -277,11 +277,12 @@ def _pipeline_scenario():
                              tasks=tasks, seed=1234)
     plan = FaultPlan(
         rate=0.05,
-        type_weights=((STEP_FAULT, 1.0),),
-        step_fault=StepFaultShape(
-            divert_after="s11",
-            alt_path=("d12", "d13", "d14", "d15"),
-            partner="plant",
+        shapes=(
+            StepFaultShape(
+                divert_after="s11",
+                alt_path=("d12", "d13", "d14", "d15"),
+                partner="plant",
+            ),
         ),
     )
     return spec, plan

@@ -380,3 +380,11 @@ def test_fault_plans_on_a_spec_without_temperature(tmp_path, capsys):
     assert run_cli("inject", "--in", str(log), "--out", str(out), "--rate", "0",
                    "--spec", str(spec), "--fault-types", "step,event") == 0
     assert len(read_xes(out.read_bytes())) == 5
+
+
+def test_unknown_fault_type_is_usage_error(tmp_path, small_log, capsys):
+    for args in (("inject", "--in", str(small_log), "--out", str(tmp_path / "x.xes"),
+                  "--rate", "0.5"),
+                 ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))):
+        assert run_cli(*args, "--fault-types", "step,bogus") == 2
+        assert capsys.readouterr().err == "error: unknown fault type 'bogus'\n"

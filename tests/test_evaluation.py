@@ -187,6 +187,9 @@ def test_single_class_folds_are_skipped_and_recorded():
     # the lone failure lands in one test fold; the rest are single-class
     assert len(report.per_fold) + len(report.skipped_folds) == 4
     assert len(report.skipped_folds) >= 1
+    # no fold has both classes in training and test, so none is
+    # evaluated and only the fold counts print
+    assert report.summary() == "folds evaluated: 0 (skipped: 4)"
 
 
 def test_evaluation_prefix_rules(order_catalog):

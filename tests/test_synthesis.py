@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from efp.events import EventKind, Outcome, Visibility
 from efp.synthesis import (
     DATA_FAULT,
     EVENT_FAULT,
+    FAULT_TYPES,
     STEP_FAULT,
     CollaborationSpec,
     Dist,
@@ -157,6 +161,75 @@ def test_injection_deterministic():
         write_xes(inject_faults(traces, plan, seed=3))
 
 
+@functools.cache
+def _clean_corpus(spec_name):
+    spec = {"default": default_spec, "minimal": minimal_spec}[spec_name](5)
+    return spec, generate(spec, 120)
+
+
+# sha256 of the injected XES at rates 0, 0.3 and 1.0 (seed 7).
+INJECTED_DIGESTS = {
+    ("default", FAULT_TYPES): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "4bddc90aafcb36015140bf319b61d3fb07148b3162fc959a49592fbc0b6cc087",
+        "6b82b1257427de7ce5825ea7510ffb4a4baca4e1bfcb73d3b423ed965d962aa8",
+    ),
+    ("default", (STEP_FAULT,)): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "982534b43c39ca2db544700f2335b4a461de05a8126aec367c8b5effe8133161",
+        "3973ff5dceff08cc8795803983a3a124a6f7d3483d827544a22dc8c8ef209455",
+    ),
+    ("default", (EVENT_FAULT,)): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "e9e1bea95746e6e5f52520937a4c6417afab377a79c9fb4805a9f92e726620ac",
+        "ee1714197a8a86e71999f106806f35dfd851fd15fa550f134131c592baca484e",
+    ),
+    ("default", (DATA_FAULT,)): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "804bb98060cea0706eee9dc5ccb1826b08f13be148e6e802403fe0379d4cf086",
+        "f06626c9570ea1260fa1537b0b572cab593bf0f4c130864bb291eaa52797dfd6",
+    ),
+    ("default", (STEP_FAULT, EVENT_FAULT)): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "f1c357177c01dcf53c665d7ef47aa9fc0dd2170fb5a20bd4ad62fefc14338227",
+        "91e96772347baaa0c9a437475c52ed6f360d1aefec89d3a13755c5c0114b5149",
+    ),
+    ("default", (EVENT_FAULT, STEP_FAULT)): (
+        "57627196a8c56eac1191e7c77fbafde9c9dc439ca9dc4150224c08e65654f55d",
+        "989662b425a72e84c05dbeb4e5dccb4e16a76d2ccb30a670b4972a7756844c66",
+        "aa2830aeda2a22b17aa4968b529bf18bfc2799212fc0427383abcc9456fdea48",
+    ),
+    ("minimal", (STEP_FAULT, EVENT_FAULT)): (
+        "7ff4358ee492a192b6e2086cc6cd345cede48a54fe317c24721d4096a7b0c3b9",
+        "523202904cdcb391facee8beaa14b8712baade808f4a6cdaed19acddae2e2f51",
+        "31044179d5c04e8b3e21ddfdaa5a8eb2518bc768ab5034ae5481e841d5038e7b",
+    ),
+    ("minimal", (STEP_FAULT,)): (
+        "7ff4358ee492a192b6e2086cc6cd345cede48a54fe317c24721d4096a7b0c3b9",
+        "7b3db08111eec2a0e2dd56b33559c4429ee9e10862a009658fbd52dced973e48",
+        "d1842bf3bb733b297491d8e633dcfbc7a4f9d41d5a4f709a60954b2c54aa2160",
+    ),
+    ("minimal", (EVENT_FAULT,)): (
+        "7ff4358ee492a192b6e2086cc6cd345cede48a54fe317c24721d4096a7b0c3b9",
+        "d10170ff762a781981e03b533250e0ac39313b5001aad66a6819f15c184d5f67",
+        "08652666f8c974955d0d9bdf9d36116c726274d0cf1ac713792ab3f09c39560b",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "spec_name,fault_types", list(INJECTED_DIGESTS),
+    ids=[f"{name}-{'+'.join(types)}" for name, types in INJECTED_DIGESTS],
+)
+def test_injected_bytes_are_pinned(spec_name, fault_types):
+    spec, clean = _clean_corpus(spec_name)
+    for rate, digest in zip((0.0, 0.3, 1.0),
+                            INJECTED_DIGESTS[spec_name, fault_types]):
+        plan = default_fault_plan(spec, rate, fault_types)
+        data = write_xes(inject_faults(clean, plan, seed=7))
+        assert hashlib.sha256(data).hexdigest() == digest, rate
+
+
 def test_error_precedes_failure_by_at_least_two_steps():
     spec = default_spec(11)
     traces = generate(spec, 60)
@@ -238,8 +311,7 @@ def test_plan_mismatch_raises():
     traces = generate(spec, 3)
     plan = FaultPlan(
         rate=1.0,
-        type_weights=((STEP_FAULT, 1.0),),
-        step_fault=StepFaultShape("no_such_step", ("x",), "shop"),
+        shapes=(StepFaultShape("no_such_step", ("x",), "shop"),),
     )
     with pytest.raises(PlanMismatch):
         inject_faults(traces, plan, seed=0)
@@ -247,10 +319,9 @@ def test_plan_mismatch_raises():
 
 def test_fault_plan_validation():
     with pytest.raises(ValueError):
-        FaultPlan(rate=1.5, type_weights=((STEP_FAULT, 1.0),),
-                  step_fault=StepFaultShape("a", ("b",), "p"))
+        FaultPlan(rate=1.5, shapes=(StepFaultShape("a", ("b",), "p"),))
     with pytest.raises(ValueError):
-        FaultPlan(rate=0.5, type_weights=((STEP_FAULT, 1.0),))
+        FaultPlan(rate=0.5, shapes=())
 
 
 def test_dist_round_trip():
