@@ -6,7 +6,9 @@ message payload. Context sources (temperature, traffic, machine load,
 humidity) attach probabilistic sensor readings to specific steps.
 """
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from efp import default_spec, generate, write_spec, write_xes
 
@@ -41,8 +43,8 @@ xes = write_xes(traces)
 print(f"\nXES size for {len(traces)} traces: {len(xes)} bytes "
       f"(byte-identical across reruns with the same seed)")
 
-with open("/tmp/supply_chain.spec", "w") as fh:
-    fh.write(write_spec(spec))
-with open("/tmp/supply_chain.xes", "wb") as fh:
-    fh.write(xes)
-print("wrote /tmp/supply_chain.spec and /tmp/supply_chain.xes")
+with tempfile.TemporaryDirectory() as out:
+    (Path(out) / "supply_chain.spec").write_text(write_spec(spec))
+    (Path(out) / "supply_chain.xes").write_bytes(xes)
+    print("wrote supply_chain.spec and supply_chain.xes to a temporary "
+          "directory")

@@ -62,6 +62,12 @@ def _load_spec(value: str):
     return read_spec(Path(value).read_text(encoding="utf-8"))
 
 
+def _check_rate(rate: float) -> float:
+    if not 0.0 <= rate <= 1.0:
+        raise UsageError("--rate must lie in [0, 1]")
+    return rate
+
+
 def _config(args, seed: int) -> PipelineConfig:
     """Classifier and traversal settings of ``run`` and ``evaluate``."""
     factory = partial(FrequencyModel, window=args.window, alpha=args.alpha)
@@ -109,8 +115,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_inject(args) -> int:
     seed = _effective_seed(args)
-    if not 0.0 <= args.rate <= 1.0:
-        raise UsageError("--rate must lie in [0, 1]")
+    _check_rate(args.rate)
     fault_types = tuple(args.fault_types.split(","))
     spec = _load_spec(args.spec)
     plan = default_fault_plan(spec, args.rate, fault_types)
@@ -227,13 +232,15 @@ def cmd_evaluate(args) -> int:
         return 0
 
     spec = _load_spec(args.spec)
-    rates = [float(r) for r in args.rate.split(",")]
+    rates = [_check_rate(float(r)) for r in args.rate.split(",")]
     scenarios = [Scenario.parse(s) for s in args.scenario.split(",")]
     fault_types = tuple(args.fault_types.split(","))
+    # Every plan is checked before the corpus is generated.
+    plans = {rate: default_fault_plan(spec, rate, fault_types) for rate in rates}
     config = _config(args, seed)
     cells = sweep(
         spec,
-        lambda rate: default_fault_plan(spec, rate, fault_types),
+        plans.__getitem__,
         rates,
         scenarios,
         k=args.k,

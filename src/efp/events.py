@@ -7,6 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .errors import SchemaError, UnknownPartner
@@ -57,6 +58,10 @@ class EventType:
         return len(self.data_schema)
 
 
+#: The failure type a catalog gets when none is observed or declared.
+FAILURE_TYPE = EventType(EventKind.FAILURE, "failure")
+
+
 @dataclass(frozen=True)
 class EventCatalog:
     """Ordered collection of event types known to a deployment.
@@ -64,7 +69,7 @@ class EventCatalog:
     Ordering is load-bearing: positions define the one-hot indices used by
     the predictors, with the single failure type always first among the
     intrinsic types. The constructor normalizes the failure type to the
-    front and synthesizes one (named ``failure``) when absent.
+    front and synthesizes :data:`FAILURE_TYPE` when absent.
     """
 
     intrinsic: tuple[EventType, ...]
@@ -74,10 +79,7 @@ class EventCatalog:
         failures = [t for t in self.intrinsic if t.kind is EventKind.FAILURE]
         if len(failures) > 1:
             raise ValueError("catalog must contain exactly one failure type")
-        if not failures:
-            fail = EventType(EventKind.FAILURE, "failure")
-        else:
-            fail = failures[0]
+        fail = failures[0] if failures else FAILURE_TYPE
         steps = tuple(t for t in self.intrinsic if t.kind is EventKind.STEP)
         if any(t.kind is EventKind.CONTEXT for t in self.intrinsic):
             raise ValueError("context types do not belong in the intrinsic list")
@@ -235,31 +237,32 @@ class Scenario:
         return "nocontext" if self.drop_context else "global"
 
 
-def catalog_from_traces(traces: list[EventTrace]) -> EventCatalog:
-    """Build a catalog covering every event type observed in the traces.
+def catalog_of(types: Iterable[EventType]) -> EventCatalog:
+    """The catalog of observed ``types``: the first type of each name, the
+    first failure type first (later failure types are dropped), then step
+    and context types in order of first appearance."""
+    by_name: dict[str, EventType] = {}
+    for et in types:
+        by_name.setdefault(et.name, et)
 
-    Types are ordered by first appearance (the failure type is normalized
-    to the front), so the result is deterministic for a fixed trace list.
-    """
-    steps: dict[str, EventType] = {}
-    contexts: dict[str, EventType] = {}
-    fail = None
-    for trace in traces:
-        for event in trace.events:
-            et = event.event_type
-            if et.kind is EventKind.FAILURE:
-                fail = fail or et
-            elif et.kind is EventKind.CONTEXT:
-                contexts.setdefault(et.name, et)
-            else:
-                steps.setdefault(et.name, et)
-    intrinsic = ((fail,) if fail else ()) + tuple(steps.values())
-    return EventCatalog(intrinsic=intrinsic, context=tuple(contexts.values()))
+    def of_kind(kind: EventKind) -> tuple[EventType, ...]:
+        return tuple(et for et in by_name.values() if et.kind is kind)
+
+    return EventCatalog(
+        intrinsic=of_kind(EventKind.FAILURE)[:1] + of_kind(EventKind.STEP),
+        context=of_kind(EventKind.CONTEXT),
+    )
+
+
+def catalog_from_traces(traces: list[EventTrace]) -> EventCatalog:
+    """The catalog (see :func:`catalog_of`) of every event type observed in
+    the traces, deterministic for a fixed trace list."""
+    return catalog_of(e.event_type for t in traces for e in t.events)
 
 
 def merge_catalogs(base: EventCatalog, extra: EventCatalog) -> EventCatalog:
     """``base`` followed by the types only ``extra`` has, so ``base``'s
-    one-hot positions are kept.
+    one-hot positions are kept; ``base`` itself when ``extra`` adds none.
 
     A name both catalogs know must denote the same type (kind and payload
     schema), and both must share the failure type; ``SchemaError``
@@ -276,13 +279,9 @@ def merge_catalogs(base: EventCatalog, extra: EventCatalog) -> EventCatalog:
             raise SchemaError(
                 f"event type {et.name!r} has conflicting definitions"
             )
-    steps = tuple(t for t in extra.steps if base.lookup(t.name) is None)
-    context = tuple(t for t in extra.context if base.lookup(t.name) is None)
-    if not steps and not context:
+    if all(base.lookup(et.name) is not None for et in extra.all_types):
         return base
-    return EventCatalog(
-        intrinsic=base.intrinsic + steps, context=base.context + context
-    )
+    return catalog_of(base.all_types + extra.all_types)
 
 
 def _keep(event: Event, scenario: Scenario) -> bool:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DisconnectedSpec, PlanMismatch, SpecFormatError
 from .events import (
+    FAILURE_TYPE,
     Event,
     EventCatalog,
     EventKind,
@@ -174,7 +175,7 @@ class CollaborationSpec:
 
     def catalog(self) -> EventCatalog:
         """Catalog of the clean event types (no fault-plan types)."""
-        intrinsic = [EventType(EventKind.FAILURE, "failure")]
+        intrinsic = [FAILURE_TYPE]
         for task in self.tasks:
             schema = tuple((f, d.field_kind) for f, d in task.fields)
             intrinsic.append(EventType(EventKind.STEP, task.name, schema))
@@ -284,9 +285,6 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
 # -- fault plans ------------------------------------------------------------
 
 
-FAILURE_TYPE = EventType(EventKind.FAILURE, "failure")
-
-
 @dataclass(frozen=True)
 class StepFaultShape:
     """Divert the successor of one step onto an alternative path."""
@@ -294,6 +292,9 @@ class StepFaultShape:
     divert_after: str
     alt_path: tuple[str, ...]
     partner: str
+
+    #: The step the shape rewrites the trace at.
+    anchor = property(lambda self: self.divert_after)
 
     def apply(self, trace: EventTrace, rng) -> EventTrace:
         cut = _find_state(trace, self.divert_after)
@@ -326,6 +327,8 @@ class EventFaultShape:
     partner: str
     visibility: Visibility
     steps_to_failure: int
+
+    anchor = property(lambda self: self.error_step)
 
     def apply(self, trace: EventTrace, rng) -> EventTrace:
         at = _find_state(trace, self.error_step)
@@ -367,6 +370,8 @@ class DataFaultShape:
     partner: str
     visibility: Visibility
     steps_to_failure: int
+
+    anchor = property(lambda self: self.at_step)
 
     @property
     def shifted_value(self) -> float:
@@ -631,7 +636,8 @@ def default_fault_plan(
     """Plan drawing the requested fault types, in ``fault_types`` order and
     with equal weight, as shapes matched to the bundled specs.
 
-    Raises ``ValueError`` for a name outside :data:`FAULT_TYPES`.
+    Raises ``ValueError`` for a name outside :data:`FAULT_TYPES` and, when
+    ``rate > 0``, for a shape whose anchor step is not a task of ``spec``.
     """
     for fault_type in fault_types:
         if fault_type not in FAULT_TYPES:
@@ -675,6 +681,13 @@ def default_fault_plan(
             partner="carrier", visibility=temperature.visibility,
             steps_to_failure=2,
         )
+    if rate > 0:
+        tasks = {task.name for task in spec.tasks}
+        for fault_type in fault_types:
+            anchor = shapes[fault_type].anchor
+            if anchor not in tasks:
+                raise ValueError(f"spec {spec.name!r} has no task {anchor!r} "
+                                 f"for {fault_type} faults")
     return FaultPlan(rate, tuple(shapes[t] for t in fault_types))
 
 

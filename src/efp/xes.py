@@ -28,6 +28,7 @@ from .events import (
     FieldKind,
     Outcome,
     Visibility,
+    catalog_of,
 )
 
 _RESERVED_EVENT_KEYS = {
@@ -121,10 +122,11 @@ def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
 
     When ``catalog`` is given, every event must match one of its types and
     carry a payload conforming to the type's schema (``SchemaError``
-    otherwise). Without a catalog, one is inferred: type kinds come from
-    ``efp:kind`` (defaulting to ``step``), payload schemas from the first
-    occurrence of each type. Traces with zero events are dropped and
-    counted in ``empty_dropped``.
+    otherwise). Without a catalog, the first event of each name gives that
+    name's type (see :func:`_infer_type`), later events must conform to it,
+    and the catalog is :func:`~efp.events.catalog_of` the inferred types;
+    a second failure type is a ``SchemaError``. Traces with zero events are
+    dropped and counted in ``empty_dropped``.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -133,106 +135,80 @@ def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
     except ElementTree.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
 
-    raw_traces = []
-    for trace_el in root.iter("trace"):
-        meta = _attributes(trace_el)
-        raw_events = [
-            _raw_event(event_el) for event_el in trace_el.iter("event")
-        ]
-        raw_traces.append((meta, raw_events))
-
-    if catalog is None:
-        catalog = _infer_catalog(raw_traces)
-
+    known = catalog.all_types if catalog is not None else ()
+    types = {t.name: t for t in known}
     traces = []
     dropped = 0
-    for meta, raw_events in raw_traces:
+    for trace_el in root.iter("trace"):
+        raw_events = [_attributes(e) for e in trace_el.iter("event")]
         if not raw_events:
             dropped += 1
             continue
+        meta, _ = _attributes(trace_el)
         instance_id = meta.get("concept:name") or raw_events[0][0].get(
             "efp:instance", "unknown"
         )
-        events = tuple(
-            _build_event(attrs, instance_id, catalog) for attrs in raw_events
-        )
+        events = []
+        for attrs, tags in raw_events:
+            name = attrs.get("concept:name")
+            if name is None:
+                raise ParseError("event lacks concept:name")
+            et = types.get(name)
+            if et is None:
+                if catalog is not None:
+                    raise SchemaError(f"event type {name!r} not in catalog")
+                et = types[name] = _infer_type(attrs, tags)
+            events.append(_build_event(attrs, instance_id, et))
         outcome = meta.get("efp:outcome")
         error_index = meta.get("efp:error-index")
         traces.append(
             EventTrace(
                 instance_id=instance_id,
-                events=events,
+                events=tuple(events),
                 outcome_label=Outcome(outcome) if outcome else None,
                 error_index=int(error_index) if error_index is not None else None,
             )
         )
+    if catalog is None:
+        failures = [t for t in types.values() if t.kind is EventKind.FAILURE]
+        if len(failures) > 1:
+            raise SchemaError(f"second failure type {failures[1].name!r}")
+        catalog = catalog_of(types.values())
     return ParsedLog(tuple(traces), catalog, dropped)
 
 
-def _attributes(element) -> dict[str, str]:
-    attrs = {}
+def _attributes(element) -> tuple[dict[str, str], dict[str, str]]:
+    """Value and XML tag of each keyed child of ``element``, by key."""
+    attrs, tags = {}, {}
     for child in element:
-        if child.tag in ("string", "date", "int", "float", "boolean"):
-            key = child.get("key")
-            if key is not None:
-                attrs[key] = child.get("value", "")
-    return attrs
-
-
-def _raw_event(event_el) -> tuple[dict[str, str], dict[str, str]]:
-    attrs = {}
-    kinds = {}
-    for child in event_el:
         key = child.get("key")
-        if key is None:
-            continue
-        attrs[key] = child.get("value", "")
-        kinds[key] = child.tag
-    if "concept:name" not in attrs:
-        raise ParseError("event lacks concept:name")
-    return attrs, kinds
+        if key is not None:
+            attrs[key] = child.get("value", "")
+            tags[key] = child.tag
+    return attrs, tags
 
 
 def _payload_keys(attrs: dict[str, str]) -> list[str]:
     return [k for k in attrs if k not in _RESERVED_EVENT_KEYS]
 
 
-def _infer_catalog(raw_traces) -> EventCatalog:
-    steps: dict[str, EventType] = {}
-    contexts: dict[str, EventType] = {}
-    fail: EventType | None = None
-    for _, raw_events in raw_traces:
-        for attrs, tag_kinds in raw_events:
-            name = attrs["concept:name"]
-            if name in steps or name in contexts or (fail and fail.name == name):
-                continue
-            kind = EventKind(attrs.get("efp:kind", "step"))
-            schema = tuple(
-                (
-                    key,
-                    FieldKind.NUMERIC
-                    if tag_kinds.get(key) in ("float", "int")
-                    else FieldKind.CATEGORICAL,
-                )
-                for key in _payload_keys(attrs)
-            )
-            et = EventType(kind, name, schema)
-            if kind is EventKind.FAILURE:
-                fail = et
-            elif kind is EventKind.CONTEXT:
-                contexts[name] = et
-            else:
-                steps[name] = et
-    intrinsic = ((fail,) if fail else ()) + tuple(steps.values())
-    return EventCatalog(intrinsic=intrinsic, context=tuple(contexts.values()))
+def _infer_type(attrs: dict[str, str], tags: dict[str, str]) -> EventType:
+    """The type an event's attributes imply: the kind from ``efp:kind``
+    (default ``step``), a payload field per non-reserved attribute, numeric
+    when written as ``float`` or ``int``."""
+    schema = tuple(
+        (key, FieldKind.NUMERIC if tags[key] in ("float", "int")
+         else FieldKind.CATEGORICAL)
+        for key in _payload_keys(attrs)
+    )
+    return EventType(
+        EventKind(attrs.get("efp:kind", "step")), attrs["concept:name"], schema
+    )
 
 
-def _build_event(raw, instance_id: str, catalog: EventCatalog) -> Event:
-    attrs, _ = raw
-    name = attrs["concept:name"]
-    et = catalog.lookup(name)
-    if et is None:
-        raise SchemaError(f"event type {name!r} not in catalog")
+def _build_event(attrs: dict[str, str], instance_id: str,
+                 et: EventType) -> Event:
+    name = et.name
     payload = []
     for fname, fkind in et.data_schema:
         if fname not in attrs:

@@ -21,6 +21,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+def no_sweep(*args, **kwargs):
+    raise AssertionError("the corpus was generated")
+
+
 def test_simulate_writes_log(tmp_path):
     out = tmp_path / "log.xes"
     assert run_cli("simulate", "--spec", "default", "--n", "20",
@@ -83,6 +87,17 @@ def test_inject_bad_rate(tmp_path, small_log):
     assert run_cli("inject", "--in", str(small_log),
                    "--out", str(tmp_path / "x.xes"),
                    "--rate", "1.5", "--seed", "1") == 2
+
+
+def test_evaluate_checks_every_rate_before_generating(tmp_path, small_log,
+                                                      monkeypatch, capsys):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    for args in (("inject", "--in", str(small_log),
+                  "--out", str(tmp_path / "x.xes"), "--rate", "1.5"),
+                 ("evaluate", "--rate", "0.5,1.5"),
+                 ("evaluate", "--rate=-0.1,0.5")):
+        assert run_cli(*args, "--seed", "1") == 2
+        assert capsys.readouterr().err == "error: --rate must lie in [0, 1]\n"
 
 
 def test_mine_writes_model(tmp_path, small_log):
@@ -361,14 +376,23 @@ def test_non_positive_alpha_is_usage_error(tmp_path, training_and_input_logs,
     assert capsys.readouterr().err.startswith("error: alpha must be")
 
 
-def test_fault_plans_on_a_spec_without_temperature(tmp_path, capsys):
+@pytest.fixture
+def three_task_log(tmp_path, capsys):
+    """A spec of three tasks (``a``, ``b``, ``c``) and a 5-trace log of it."""
     spec = tmp_path / "three.spec"
     spec.write_text("name three\nseed 0\npartner shop\ntask a shop private\n"
                     "task b shop private\ntask c shop private\n", encoding="utf-8")
-    log, out = tmp_path / "three.xes", tmp_path / "out.xes"
+    log = tmp_path / "three.xes"
     assert run_cli("simulate", "--spec", str(spec), "--n", "5",
                    "--out", str(log)) == 0
     capsys.readouterr()
+    return spec, log
+
+
+def test_fault_plans_on_a_spec_without_temperature(tmp_path, three_task_log,
+                                                   capsys):
+    spec, log = three_task_log
+    out = tmp_path / "out.xes"
     # Data faults need the spec's temperature source.
     for args in (("inject", "--in", str(log), "--out", str(out), "--rate", "0.5"),
                  ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))):
@@ -380,6 +404,24 @@ def test_fault_plans_on_a_spec_without_temperature(tmp_path, capsys):
     assert run_cli("inject", "--in", str(log), "--out", str(out), "--rate", "0",
                    "--spec", str(spec), "--fault-types", "step,event") == 0
     assert len(read_xes(out.read_bytes())) == 5
+
+
+def test_fault_plans_need_their_anchor_steps(tmp_path, three_task_log,
+                                             monkeypatch, capsys):
+    spec, log = three_task_log
+    out = tmp_path / "out.xes"
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    for args in (("inject", "--in", str(log), "--out", str(out), "--rate", "0.5"),
+                 ("evaluate", "--rate", "0,0.5")):
+        assert run_cli(*args, "--spec", str(spec), "--fault-types", "step") == 2
+        assert capsys.readouterr().err == (
+            "error: spec 'three' has no task 'select_supplier' for step faults\n"
+        )
+    assert not out.exists()
+    # A plan that injects nothing needs no anchor.
+    assert run_cli("inject", "--in", str(log), "--out", str(out), "--rate", "0",
+                   "--spec", str(spec), "--fault-types", "step") == 0
+    assert out.read_bytes() == log.read_bytes()
 
 
 def test_unknown_fault_type_is_usage_error(tmp_path, small_log, capsys):

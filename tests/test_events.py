@@ -184,6 +184,16 @@ def test_catalog_from_traces_covers_all_types():
     assert inferred.failure_type.kind is EventKind.FAILURE
 
 
+def test_catalog_from_traces_keeps_the_first_failure_type():
+    crash = make_catalog(["A"], contexts=(("temp", ()),), fail_name="crash")
+    abort = make_catalog(["B", "A"], fail_name="abort")
+    traces = [make_trace(abort, ["B", "abort"], instance_id="case-0"),
+              make_trace(crash, ["A", "temp", "crash"], instance_id="case-1")]
+    catalog = catalog_from_traces(traces)
+    assert [t.name for t in catalog.all_types] == ["abort", "B", "A", "temp"]
+    assert catalog.lookup("crash") is None
+
+
 def test_merge_catalogs_appends_types_only_extra_has():
     base = make_catalog(["A", "B"], contexts=(
         ("temp", (("reading", FieldKind.NUMERIC),)),))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efp.errors import ParseError, SchemaError
-from efp.events import EventKind, FieldKind, Outcome
+from efp.events import EventKind, FieldKind, Outcome, catalog_from_traces
 from efp.xes import read_catalog, read_xes, write_catalog, write_xes
 
 from conftest import make_catalog, make_trace, random_catalog_and_traces
@@ -49,6 +49,7 @@ def test_randomized_round_trips():
         log = read_xes(blob)
         assert list(log.traces) == traces
         assert write_xes(list(log.traces)) == blob
+        assert log.catalog == catalog_from_traces(traces)
 
 
 def test_empty_log_round_trip():
@@ -113,6 +114,15 @@ def test_inferred_catalog_recovers_kinds_and_schemas(order_catalog):
     assert cat.lookup("temp").data_schema == (("reading", FieldKind.NUMERIC),)
     assert cat.failure_type.name == "failure"
     assert cat.lookup("A").kind is EventKind.STEP
+
+
+def test_second_failure_type_in_one_log_is_rejected():
+    crash = make_catalog(["A"], fail_name="crash")
+    abort = make_catalog(["A"], fail_name="abort")
+    blob = write_xes([make_trace(crash, ["A", "crash"], instance_id="case-0"),
+                      make_trace(abort, ["A", "abort"], instance_id="case-1")])
+    with pytest.raises(SchemaError, match="second failure type 'abort'"):
+        read_xes(blob)
 
 
 def test_catalog_file_round_trip(order_catalog):
