@@ -24,14 +24,8 @@ from .evaluation import (
     sweep,
 )
 from .model import ProcessModel, current_step, mine_model, read_model, write_model
-from .predictors import (
-    Classifier,
-    FrequencyModel,
-    InputRow,
-    Prediction,
-    encode_trace,
-)
-from .recurrent import RecurrentModel
+from .predictors import Classifier, FrequencyModel, Prediction
+from .recurrent import RecurrentModel, encode_trace
 from .runtime import Bus, PredictionEvent, replay
 from .synthesis import (
     CollaborationSpec,

@@ -69,7 +69,7 @@ def _successor_map(model: ProcessModel) -> dict[str, frozenset[str]]:
     return {s: frozenset(v) for s, v in out.items()}
 
 
-def current_step(trace: EventTrace, model: ProcessModel | None = None) -> str:
+def current_step(trace: EventTrace) -> str:
     """State of the last intrinsic event in the trace.
 
     Context events never move the automaton, so they are skipped. Raises

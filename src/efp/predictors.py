@@ -1,5 +1,5 @@
-"""Trace encodings, the next-step classifier contract, and the frequency
-baseline classifier.
+"""The next-step classifier contract, its training targets, and the
+frequency baseline classifier.
 
 A classifier maps an event trace to a probability distribution over the
 possible next steps, with the failure outcome always at index 0. The
@@ -33,29 +33,6 @@ from .events import (
     Outcome,
 )
 
-_CODE_MODULUS = 997
-
-
-def categorical_code(value: str) -> float:
-    """Stable numeric code for a categorical payload value in [0, 1).
-
-    Codes are content-derived (not fitted), so they never drift between
-    runs; collisions are possible and accepted.
-    """
-    digest = hashlib.md5(str(value).encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % _CODE_MODULUS / _CODE_MODULUS
-
-
-@dataclass(frozen=True)
-class InputRow:
-    """One encoded event: a one-hot over event types plus padded payload."""
-
-    event_onehot: np.ndarray
-    data: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.event_onehot, self.data])
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -82,29 +59,6 @@ def prediction_outcomes(catalog: EventCatalog) -> tuple[str, ...]:
     """Output space of any classifier on this catalog: failure first, then
     the intrinsic steps in catalog order."""
     return (FAIL_STATE,) + tuple(t.name for t in catalog.steps)
-
-
-def encode_event(event: Event, catalog: EventCatalog) -> InputRow:
-    # Names are unique within a catalog, so a type is placed by its name;
-    # a type whose schema differs from the catalog's still gets that slot.
-    index = catalog.position(event.event_type.name)
-    if index is None:
-        raise UnknownEventType(
-            f"event type {event.event_type.name!r} not in catalog"
-        )
-    onehot = np.zeros(len(catalog.all_types))
-    onehot[index] = 1.0
-    data = np.zeros(catalog.max_data_arity)
-    for i, value in enumerate(event.payload):
-        kind = event.event_type.data_schema[i][1]
-        data[i] = float(value) if kind is FieldKind.NUMERIC else categorical_code(value)
-    return InputRow(onehot, data)
-
-
-def encode_trace(trace: EventTrace, catalog: EventCatalog) -> list[InputRow]:
-    """One row per event, in trace order; payload slots beyond an event's
-    schema stay zero."""
-    return [encode_event(e, catalog) for e in trace.events]
 
 
 def training_targets(

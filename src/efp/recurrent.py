@@ -1,23 +1,26 @@
-"""Reference recurrent classifier: a single tanh recurrent layer feeding a
-softmax readout, trained with plain SGD on cross-entropy.
+"""Reference recurrent classifier and its input encoding: a single tanh
+recurrent layer feeding a softmax readout, trained with plain SGD on
+cross-entropy.
 
-Everything is float64 numpy and deterministic under a fixed seed, which
-keeps the analytic gradients checkable against finite differences.
+Each event enters the network as one input row: a one-hot over the
+catalog's types, then the event's payload padded to the catalog's widest
+schema. Everything is float64 numpy and deterministic under a fixed seed,
+which keeps the analytic gradients checkable against finite differences.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
 
 from .errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
-from .events import FAIL_STATE, EventCatalog, EventTrace
+from .events import FAIL_STATE, EventCatalog, EventTrace, FieldKind
 from .predictors import (
     Classifier,
     Prediction,
     _catalog_hash,
-    encode_trace,
     prediction_outcomes,
     training_targets,
 )
@@ -27,6 +30,39 @@ LEARNING_RATE = 0.05
 MAX_SEQUENCE = 64
 
 _PARAM_NAMES = ("w_in", "w_rec", "b_rec", "w_out", "b_out")
+_CODE_MODULUS = 997
+
+
+def categorical_code(value: str) -> float:
+    """Stable numeric code for a categorical payload value in [0, 1).
+
+    Codes are content-derived (not fitted), so they never drift between
+    runs; collisions are possible and accepted.
+    """
+    digest = hashlib.md5(str(value).encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % _CODE_MODULUS / _CODE_MODULUS
+
+
+def encode_trace(trace: EventTrace, catalog: EventCatalog) -> np.ndarray:
+    """One input row per event, in trace order; payload slots beyond an
+    event's schema stay zero."""
+    n_types = len(catalog.all_types)
+    rows = np.zeros((len(trace), n_types + catalog.max_data_arity))
+    for row, event in zip(rows, trace.events):
+        # Names are unique within a catalog, so a type is placed by its name;
+        # a type whose schema differs from the catalog's still gets that slot.
+        index = catalog.position(event.event_type.name)
+        if index is None:
+            raise UnknownEventType(
+                f"event type {event.event_type.name!r} not in catalog"
+            )
+        row[index] = 1.0
+        for i, value in enumerate(event.payload):
+            kind = event.event_type.data_schema[i][1]
+            row[n_types + i] = (
+                float(value) if kind is FieldKind.NUMERIC else categorical_code(value)
+            )
+    return rows
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -79,10 +115,8 @@ class RecurrentModel(Classifier):
 
     def start(self, trace: EventTrace):
         self._check(trace)
-        hidden = np.zeros(self.hidden_size)
-        rows = encode_trace(trace, self.catalog)[-MAX_SEQUENCE:]
-        for row in rows:
-            hidden = self._step(hidden, row.concat())
+        rows = encode_trace(trace, self.catalog)
+        hidden = self._forward_rows(rows[-MAX_SEQUENCE:])[-1]
         return hidden, self._readout(hidden)
 
     def advance(self, cursor, state: str):
@@ -96,15 +130,16 @@ class RecurrentModel(Classifier):
 
     # -- training -------------------------------------------------------------
 
-    def _forward_rows(self, rows: list[np.ndarray]):
+    def _forward_rows(self, rows: np.ndarray):
         hiddens = [np.zeros(self.hidden_size)]
         for row in rows:
             hiddens.append(self._step(hiddens[-1], row))
         return hiddens
 
-    def loss_and_grads(self, rows: list[np.ndarray], target: int):
+    def loss_and_grads(self, rows: np.ndarray, target: int):
         """Cross-entropy loss of one (prefix, next step) pair and its
-        gradients with respect to every parameter."""
+        gradients with respect to every parameter; ``rows`` holds the
+        prefix's encoded events, one per row."""
         hiddens = self._forward_rows(rows)
         probs = _softmax(self.w_out @ hiddens[-1] + self.b_out)
         loss = -np.log(max(probs[target], 1e-300))
@@ -133,10 +168,12 @@ class RecurrentModel(Classifier):
         Only the current trace is held in memory; each pair triggers an
         immediate parameter update.
         """
-        all_rows = [r.concat() for r in encode_trace(trace, self.catalog)]
+        self._check(trace)
+        rows = encode_trace(trace, self.catalog)
         for cut, target in training_targets(trace, self.catalog):
-            rows = all_rows[:cut][-MAX_SEQUENCE:]
-            _, grads = self.loss_and_grads(rows, self.outcomes.index(target))
+            _, grads = self.loss_and_grads(
+                rows[:cut][-MAX_SEQUENCE:], self.outcomes.index(target)
+            )
             for name in _PARAM_NAMES:
                 param = getattr(self, name)
                 param -= LEARNING_RATE * grads[name]

@@ -50,7 +50,8 @@ class PredictionEvent:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """Published instead of a prediction when the classifier raised."""
+    """Published when the classifier raised: instead of a prediction, or
+    when training on a closed instance's trace failed."""
 
     instance_id: str
     at_event_index: int
@@ -114,15 +115,20 @@ class EfpInstance:
                 self.bus.prediction_queue.append(prediction)
 
         if event.event_type.kind is EventKind.FAILURE:
-            self._close(Outcome.FAIL)
+            self._close(Outcome.FAIL, index)
         elif event.is_intrinsic and event.state in self.model.final_states:
-            self._close(Outcome.END)
+            self._close(Outcome.END, index)
         return prediction
 
-    def _close(self, label: Outcome) -> None:
+    def _close(self, label: Outcome, index: int) -> None:
         self.closed = True
         self.label = label
-        self.classifier.train_online(self.trace)
+        try:
+            self.classifier.train_online(self.trace)
+        except Exception as exc:  # the instance stays closed with its label
+            self.bus.error_queue.append(
+                ErrorEvent(self.instance_id, index, str(exc))
+            )
 
 
 class Bus:

@@ -260,7 +260,7 @@ def traverse(
     ``(cursor, state)`` and returned again for an equal key (see the
     cursor contract of ``Classifier``).
     """
-    state = current_step(trace, model)
+    state = current_step(trace)
     if state in model.final_states:
         return TraversalResult(
             explored_mass=0.0,

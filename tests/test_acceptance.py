@@ -233,10 +233,9 @@ def test_criterion_08_classifier_contracts():
     # analytic gradients vs central differences on a 3-state toy
     toy = make_catalog(["A", "B", "C"])
     model = RecurrentModel(toy, seed=3, hidden_size=8)
-    from efp.predictors import encode_trace
+    from efp.recurrent import encode_trace
 
-    rows = [r.concat() for r in encode_trace(make_trace(toy, ["A", "B", "A"]),
-                                             toy)]
+    rows = encode_trace(make_trace(toy, ["A", "B", "A"]), toy)
     target = model.outcomes.index("C")
     _, grads = model.loss_and_grads(rows, target)
     analytic = model.flatten_grads(grads)

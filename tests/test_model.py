@@ -15,20 +15,20 @@ from efp.synthesis import default_spec, generate
 from conftest import make_catalog, make_trace
 
 
-def test_current_step_skips_context(order_catalog, order_model):
+def test_current_step_skips_context(order_catalog):
     trace = make_trace(order_catalog, ["A", "temp", "B", "temp", "C"],
                        payloads={"temp": (20.0,)})
-    assert current_step(trace, order_model) == "C"
+    assert current_step(trace) == "C"
 
 
-def test_current_step_single_event(order_catalog, order_model):
-    assert current_step(make_trace(order_catalog, ["A"]), order_model) == "A"
+def test_current_step_single_event(order_catalog):
+    assert current_step(make_trace(order_catalog, ["A"])) == "A"
 
 
-def test_current_step_requires_intrinsic(order_catalog, order_model):
+def test_current_step_requires_intrinsic(order_catalog):
     trace = make_trace(order_catalog, ["temp"], payloads={"temp": (1.0,)})
     with pytest.raises(NoIntrinsicEvent):
-        current_step(trace, order_model)
+        current_step(trace)
 
 
 def test_mine_recovers_branching_finals(order_catalog):

@@ -6,10 +6,10 @@ from efp.events import FAIL_STATE, FieldKind, Outcome, catalog_from_traces
 from efp.predictors import (
     FrequencyModel,
     Prediction,
-    encode_trace,
     prediction_outcomes,
     training_targets,
 )
+from efp.recurrent import encode_trace
 from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 
 from conftest import make_catalog, make_trace, random_catalog_and_traces
@@ -25,9 +25,9 @@ def test_encode_onehot_placement(small_catalog):
     # type order: [failure, A, B, C_temp]
     trace = make_trace(small_catalog, ["A"])
     [row] = encode_trace(trace, small_catalog)
-    assert row.event_onehot.tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert row.data.tolist() == [0.0]
-    assert int(row.event_onehot.sum()) == 1
+    assert row[:4].tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert row[4:].tolist() == [0.0]
+    assert int(row[:4].sum()) == 1
 
 
 def test_encode_payload_zero_padding():
@@ -38,8 +38,8 @@ def test_encode_payload_zero_padding():
     assert catalog.max_data_arity == 2
     trace = make_trace(catalog, ["C_temp"], payloads={"C_temp": (31.5,)})
     [row] = encode_trace(trace, catalog)
-    assert row.event_onehot.tolist() == [0.0, 0.0, 1.0, 0.0]
-    assert row.data.tolist() == [31.5, 0.0]
+    assert row[:4].tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert row[4:].tolist() == [31.5, 0.0]
 
 
 def test_catalog_cached_lookups_equal_a_fresh_scan():
@@ -61,8 +61,8 @@ def test_encode_places_a_same_named_type_by_name(small_catalog):
         ("C_temp", (("celsius", FieldKind.NUMERIC),)),))
     trace = make_trace(other, ["C_temp"], payloads={"C_temp": (4.0,)})
     [row] = encode_trace(trace, small_catalog)
-    assert row.event_onehot.tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert row.data.tolist() == [4.0]
+    assert row[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert row[4:].tolist() == [4.0]
 
 
 def test_encode_length_preservation(small_catalog):
@@ -81,7 +81,7 @@ def test_encode_injective_on_type_sequences(small_catalog):
     seen = {}
     for names in (["A"], ["B"], ["A", "A"], ["A", "B"], ["B", "A"]):
         trace = make_trace(small_catalog, names)
-        key = tuple(tuple(r.concat()) for r in encode_trace(trace, small_catalog))
+        key = tuple(tuple(r) for r in encode_trace(trace, small_catalog))
         assert key not in seen, f"{names} collides with {seen.get(key)}"
         seen[key] = names
 

@@ -1,12 +1,12 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from efp.errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
-from efp.events import FAIL_STATE, FieldKind, Outcome
-from efp.predictors import encode_trace
-from efp.recurrent import RecurrentModel
+from efp.events import FAIL_STATE, Event, EventTrace, FieldKind, Outcome
+from efp.recurrent import MAX_SEQUENCE, RecurrentModel, encode_trace
 
 from conftest import make_catalog, make_trace
 
@@ -61,7 +61,7 @@ def test_converges_on_deterministic_corpus(toy_catalog):
 def test_gradient_check_against_finite_differences(toy_catalog):
     model = RecurrentModel(toy_catalog, seed=3, hidden_size=8)
     trace = make_trace(toy_catalog, ["A", "B", "A"])
-    rows = [r.concat() for r in encode_trace(trace, toy_catalog)]
+    rows = encode_trace(trace, toy_catalog)
     target = model.outcomes.index("C")
 
     _, grads = model.loss_and_grads(rows, target)
@@ -102,6 +102,20 @@ def test_dimension_mismatch_detected(toy_catalog):
     trace = make_trace(other, ["Z"])
     with pytest.raises(DimensionMismatch):
         model.predict(trace)
+
+
+def test_train_online_rejects_a_same_named_type_of_another_arity(toy_catalog):
+    model = RecurrentModel(toy_catalog, seed=0)
+    other = make_catalog(["B", "C"], contexts=(
+        ("A", (("v", FieldKind.NUMERIC),)),))
+    trace = make_trace(other, ["B", "A", "C"], payloads={"A": (1.0,)},
+                       label=Outcome.END)
+    before = model.get_flat_params()
+    with pytest.raises(DimensionMismatch):
+        model.start(trace)
+    with pytest.raises(DimensionMismatch):
+        model.train_online(trace)
+    assert np.array_equal(model.get_flat_params(), before)
 
 
 def test_checkpoint_round_trip(toy_catalog):
@@ -200,3 +214,61 @@ def test_advance_unknown_state_raises(payload_catalog):
     cursor, _ = model.start(make_trace(payload_catalog, ["A"]))
     with pytest.raises(UnknownEventType):
         model.advance(cursor, "Z")
+
+
+# -- bit-level pin ------------------------------------------------------------
+
+
+def _digest_traces(catalog):
+    """Labeled traces over ``catalog`` whose context events carry varied
+    numeric and categorical payloads; the last is longer than
+    ``MAX_SEQUENCE``, so truncation is exercised."""
+    rng = np.random.default_rng(17)
+    traces = []
+    for t, length in enumerate((5, 9, 14, MAX_SEQUENCE + 11)):
+        events = []
+        for i in range(length):
+            name = ["A", "temp", "B", "pair", "C"][int(rng.integers(0, 5))]
+            et = catalog.lookup(name)
+            payload = ()
+            if name == "temp":
+                payload = (float(np.round(rng.normal(20.0, 5.0), 3)),)
+            elif name == "pair":
+                payload = (float(np.round(rng.normal(), 3)),
+                           f"v{int(rng.integers(0, 4))}")
+            events.append(Event(et, 1_000 * (i + 1), f"d{t}", "p0",
+                                payload=payload))
+        label = Outcome.FAIL if t % 2 else Outcome.END
+        traces.append(EventTrace(f"d{t}", tuple(events), outcome_label=label))
+    return traces
+
+
+def _float_hex(values) -> bytes:
+    return "".join(float(x).hex() for x in np.ravel(values)).encode("ascii")
+
+
+def test_start_and_train_online_are_pinned_bit_for_bit(payload_catalog):
+    # Digests written with numpy 2.4.6 on OpenBLAS 0.3.31: any change to
+    # the input encoding or the order of the floating-point work shows here.
+    traces = _digest_traces(payload_catalog)
+    assert len(traces[-1].events) > MAX_SEQUENCE
+    model = RecurrentModel(payload_catalog, seed=11)
+
+    def start_digest():
+        h = hashlib.sha256()
+        for trace in traces:
+            hidden, prediction = model.start(trace)
+            h.update(_float_hex(hidden))
+            h.update(_float_hex(prediction.probs))
+        return h.hexdigest()
+
+    untrained = start_digest()
+    weights = hashlib.sha256()
+    for trace in traces:
+        model.train_online(trace)
+        weights.update(_float_hex(model.get_flat_params()))
+    assert (untrained, weights.hexdigest(), start_digest()) == (
+        "d6a14ca26dfdf4afe89c74dacd55ff6ba704187787475b32631bf6913a0869ef",
+        "2fe95a3eed943562a4e32894a67fcd404b2b04b72f67b06fe28069f7251d3e29",
+        "7d005c718f860e6adb2d9d190376df7bb8a3f030cd03e51ac4ec3adf36bf4bbd",
+    )

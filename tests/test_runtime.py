@@ -5,7 +5,7 @@ import pytest
 
 from efp.errors import DuplicateInstance
 from efp.events import FAIL_STATE, Event, Outcome
-from efp.model import mine_model
+from efp.model import ProcessModel, mine_model
 from efp.predictors import FrequencyModel, Prediction
 from efp.runtime import Bus, replay
 from efp.traversal import TraversalLimits
@@ -181,6 +181,26 @@ def test_classifier_failure_publishes_error_and_keeps_instance(order_catalog,
     assert not instance.closed
     bus.publish(_event(order_catalog, "B", 1, "i1"))
     assert len(bus.error_queue) == 2
+
+
+def test_training_error_on_close_is_published_not_raised(order_catalog):
+    # The classifier's catalog lacks C, the step that closes the instance.
+    partial = make_catalog(["A", "B"])
+    classifier = FrequencyModel(partial)
+    classifier.train([make_trace(partial, ["A", "B"], label=Outcome.END)])
+    model = ProcessModel(
+        states=frozenset("ABC"),
+        initial_state="A",
+        final_states=frozenset({"C"}),
+        allowed=frozenset({("A", "B"), ("B", "C")}),
+    )
+    bus = Bus()
+    instance = bus.start_instance("i1", classifier, model)
+    for i, name in enumerate("ABC"):
+        bus.publish(_event(order_catalog, name, 1_000 * i, "i1"))
+    assert instance.closed and instance.label is Outcome.END
+    assert [e.at_event_index for e in bus.error_queue] == [2]
+    assert "'C' not in catalog" in bus.error_queue[0].message
 
 
 def test_diverged_classifier_publishes_error_not_fallback(order_catalog,

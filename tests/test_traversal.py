@@ -57,7 +57,7 @@ def enumerate_outcomes(trace, classifier, model, catalog):
             else:
                 rec(extend(events, name), name, suffix + (name,), pp)
 
-    rec(trace.events, current_step(trace, model), (), 1.0)
+    rec(trace.events, current_step(trace), (), 1.0)
     return results
 
 
@@ -496,7 +496,7 @@ def reference_traverse(trace, classifier, model, limits):
                        p_child)
 
     cursor, prediction = classifier.start(trace)
-    expand(cursor, prediction, current_step(trace, model), (), (), 1.0)
+    expand(cursor, prediction, current_step(trace), (), (), 1.0)
     paths.sort(key=lambda p: (-p.probability, p.suffix))
     explored = sum(p.probability for p in paths)
     failing = sum(p.probability for p in paths if p.outcome is Outcome.FAIL)
