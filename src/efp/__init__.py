@@ -48,6 +48,6 @@ from .traversal import (
     failure_probability,
     traverse,
 )
-from .xes import ParsedLog, read_catalog, read_xes, write_catalog, write_xes
+from .xes import ParsedLog, read_xes, write_xes
 
 __version__ = "0.1.0"

@@ -207,11 +207,13 @@ def cmd_run(args) -> int:
         Path(args.out).write_text(out_text, encoding="utf-8")
     else:
         sys.stdout.write(out_text)
-    if bus.error_queue:
-        first = bus.error_queue[0]
-        print(f"warning: {len(bus.error_queue)} prediction errors (first: "
-              f"{first.instance_id} event {first.at_event_index}: "
-              f"{first.message})", file=sys.stderr)
+    for stage in ("prediction", "training"):
+        errors = [e for e in bus.error_queue if e.stage == stage]
+        if errors:
+            first = errors[0]
+            print(f"warning: {len(errors)} {stage} errors (first: "
+                  f"{first.instance_id} event {first.at_event_index}: "
+                  f"{first.message})", file=sys.stderr)
     return 0
 
 

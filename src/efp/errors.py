@@ -18,7 +18,7 @@ class ParseError(EfpError):
 
 
 class SchemaError(EfpError):
-    """Event payload does not match the supplied catalog."""
+    """Event payload does not match its type's schema."""
 
 
 class UnknownPartner(EfpError):
@@ -47,10 +47,6 @@ class MissingLabel(EfpError):
 
 class DimensionMismatch(EfpError):
     """Classifier was initialized against a different catalog."""
-
-
-class CheckpointMismatch(EfpError):
-    """Checkpoint header does not match the current catalog."""
 
 
 class DisconnectedSpec(EfpError):

@@ -121,12 +121,6 @@ class EventCatalog:
         """Index of the named type in ``all_types`` (its one-hot slot)."""
         return self._positions.get(name)
 
-    def signature(self) -> tuple:
-        """Structural identity used to detect catalog mismatches."""
-        return tuple(
-            (t.kind.value, t.name, t.data_schema) for t in self.all_types
-        )
-
 
 @dataclass(frozen=True)
 class Event:

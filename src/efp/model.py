@@ -42,13 +42,6 @@ class ProcessModel:
             raise ValueError("failure state cannot have outgoing edges")
         object.__setattr__(self, "_successors", _successor_map(self))
 
-    def is_feasible_successor(self, source: str, target: str) -> bool:
-        """True iff the model permits ``source`` to be directly followed by
-        ``target``. The failure state is always a feasible target."""
-        if target not in self.states:
-            raise UnknownState(f"state {target!r} not in model")
-        return target == FAIL_STATE or (source, target) in self.allowed
-
     def successors(self, source: str) -> frozenset[str]:
         """Feasible next states. Final states (including the failure state)
         have none: the run terminates there."""

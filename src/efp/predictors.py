@@ -9,20 +9,13 @@ hypothetical continuations do not require rebuilding trace objects.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CheckpointMismatch,
-    MissingLabel,
-    UnknownEventType,
-    UntrainedModel,
-)
+from .errors import MissingLabel, UnknownEventType, UntrainedModel
 from .events import (
     FAIL_STATE,
     Event,
@@ -150,6 +143,8 @@ class FrequencyModel(Classifier):
             raise ValueError(f"alpha must be a positive finite number, got {alpha}")
         if bins < 1:
             raise ValueError(f"bins must be at least 1, got {bins}")
+        if window < 0:
+            raise ValueError(f"window must be non-negative, got {window}")
         self.catalog = catalog
         self.window = window
         self.alpha = alpha
@@ -231,7 +226,7 @@ class FrequencyModel(Classifier):
         # changes, so a trace that raises leaves the counts as they were.
         targets = training_targets(trace, self.catalog)
         window, token, events = self.window, self._token, trace.events
-        tail: deque = deque(maxlen=max(window, 0))
+        tail: deque = deque(maxlen=window)
         seen = 0
         keys = []
         for cut, target in targets:
@@ -255,7 +250,7 @@ class FrequencyModel(Classifier):
 
     def advance(self, cursor, state: str):
         # Hypothetical steps carry no payload, so their token is bare.
-        if self.window <= 0:
+        if self.window == 0:
             return cursor, self._predict_context(cursor)
         nxt = (cursor + ((state,),))[-self.window:]
         return nxt, self._predict_context(nxt)
@@ -271,56 +266,3 @@ class FrequencyModel(Classifier):
         prediction = Prediction((counts + self.alpha) / total, self.outcomes)
         self._prediction_cache[context] = prediction
         return prediction
-
-    # -- checkpointing -----------------------------------------------------
-
-    def save(self) -> bytes:
-        payload = {
-            "format": "efp-frequency",
-            "version": 1,
-            "catalog": _catalog_hash(self.catalog),
-            "window": self.window,
-            "alpha": self.alpha,
-            "bins": self.bins,
-            "trained_traces": self.trained_traces,
-            "bin_ranges": [
-                [name, pos, lo, hi]
-                for (name, pos), (lo, hi) in sorted(self.bin_ranges.items())
-            ],
-            "counts": [
-                [list(key), counts.tolist()]
-                for key, counts in sorted(
-                    self.counts.items(), key=lambda kv: repr(kv[0])
-                )
-            ],
-        }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-    @classmethod
-    def load(cls, blob: bytes, catalog: EventCatalog) -> "FrequencyModel":
-        payload = json.loads(blob.decode("utf-8"))
-        if payload.get("format") != "efp-frequency":
-            raise CheckpointMismatch("not a frequency-model checkpoint")
-        if payload["catalog"] != _catalog_hash(catalog):
-            raise CheckpointMismatch("checkpoint was built for a different catalog")
-        model = cls(
-            catalog,
-            window=payload["window"],
-            alpha=payload["alpha"],
-            bins=payload["bins"],
-        )
-        model.trained_traces = payload["trained_traces"]
-        model.bin_ranges = {
-            (name, pos): (lo, hi)
-            for name, pos, lo, hi in payload["bin_ranges"]
-        }
-        for key, counts in payload["counts"]:
-            model.counts[tuple(tuple(t) for t in key)] = np.asarray(
-                counts, dtype=float
-            )
-        return model
-
-
-def _catalog_hash(catalog: EventCatalog) -> str:
-    text = repr(catalog.signature()).encode("utf-8")
-    return hashlib.sha256(text).hexdigest()

@@ -11,16 +11,14 @@ which keeps the analytic gradients checkable against finite differences.
 from __future__ import annotations
 
 import hashlib
-import io
 
 import numpy as np
 
-from .errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
+from .errors import DimensionMismatch, UnknownEventType
 from .events import FAIL_STATE, EventCatalog, EventTrace, FieldKind
 from .predictors import (
     Classifier,
     Prediction,
-    _catalog_hash,
     prediction_outcomes,
     training_targets,
 )
@@ -77,7 +75,6 @@ class RecurrentModel(Classifier):
     def __init__(self, catalog: EventCatalog, seed: int = 0,
                  hidden_size: int = HIDDEN_SIZE):
         self.catalog = catalog
-        self.seed = seed
         self.hidden_size = hidden_size
         self.outcomes = prediction_outcomes(catalog)
         self.input_size = len(catalog.all_types) + catalog.max_data_arity
@@ -196,40 +193,3 @@ class RecurrentModel(Classifier):
 
     def flatten_grads(self, grads: dict) -> np.ndarray:
         return np.concatenate([grads[n].ravel() for n in _PARAM_NAMES])
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def save(self) -> bytes:
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            format="efp-recurrent",
-            version=1,
-            catalog=_catalog_hash(self.catalog),
-            seed=self.seed,
-            hidden_size=self.hidden_size,
-            w_in=self.w_in,
-            w_rec=self.w_rec,
-            b_rec=self.b_rec,
-            w_out=self.w_out,
-            b_out=self.b_out,
-        )
-        return buf.getvalue()
-
-    @classmethod
-    def load(cls, blob: bytes, catalog: EventCatalog) -> "RecurrentModel":
-        # Checkpoints of earlier versions also hold ``learning_rate`` and
-        # ``max_sequence``; the module constants apply, so they are not read.
-        data = np.load(io.BytesIO(blob))
-        if str(data["format"]) != "efp-recurrent":
-            raise CheckpointMismatch("not a recurrent-model checkpoint")
-        if str(data["catalog"]) != _catalog_hash(catalog):
-            raise CheckpointMismatch("checkpoint was built for a different catalog")
-        model = cls(
-            catalog,
-            seed=int(data["seed"]),
-            hidden_size=int(data["hidden_size"]),
-        )
-        for name in _PARAM_NAMES:
-            setattr(model, name, data[name])
-        return model

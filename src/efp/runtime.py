@@ -50,12 +50,14 @@ class PredictionEvent:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """Published when the classifier raised: instead of a prediction, or
-    when training on a closed instance's trace failed."""
+    """Published when the classifier raised: instead of a prediction
+    (``stage`` ``"prediction"``), or when training on a closed instance's
+    trace failed (``stage`` ``"training"``)."""
 
     instance_id: str
     at_event_index: int
     message: str
+    stage: str
 
 
 class EfpInstance:
@@ -99,7 +101,7 @@ class EfpInstance:
                 )
             except Exception as exc:  # classifier failures keep the instance alive
                 self.bus.error_queue.append(
-                    ErrorEvent(self.instance_id, index, str(exc))
+                    ErrorEvent(self.instance_id, index, str(exc), "prediction")
                 )
             else:
                 estimate = failure_probability(result)
@@ -127,7 +129,7 @@ class EfpInstance:
             self.classifier.train_online(self.trace)
         except Exception as exc:  # the instance stays closed with its label
             self.bus.error_queue.append(
-                ErrorEvent(self.instance_id, index, str(exc))
+                ErrorEvent(self.instance_id, index, str(exc), "training")
             )
 
 
@@ -135,6 +137,8 @@ class Bus:
     """Queues, subscribers, and the outgoing prediction stream."""
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
+        if capacity < 1:
+            raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self.queues: dict[str, deque] = {}
         self.subscribers: dict[str, list] = {}

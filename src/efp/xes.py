@@ -1,4 +1,4 @@
-"""XES-subset reading and writing, plus the catalog file format.
+"""XES-subset reading and writing; the catalog is inferred from the log.
 
 The supported subset is deliberately small so that the round trip
 ``read_xes(write_xes(traces))`` is the identity: per event we emit
@@ -46,9 +46,8 @@ _RESERVED_EVENT_KEYS = {
 class ParsedLog:
     """Result of reading an XES stream.
 
-    ``catalog`` is the supplied catalog or, when none was given, the one
-    inferred from the log. ``empty_dropped`` counts traces discarded for
-    containing zero events.
+    ``catalog`` is the one inferred from the log. ``empty_dropped`` counts
+    traces discarded for containing zero events.
     """
 
     traces: tuple[EventTrace, ...]
@@ -117,16 +116,14 @@ def _attr(out, indent: int, tag: str, key: str, value: str) -> None:
     )
 
 
-def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
+def read_xes(source) -> ParsedLog:
     """Parse an XES byte stream into traces.
 
-    When ``catalog`` is given, every event must match one of its types and
-    carry a payload conforming to the type's schema (``SchemaError``
-    otherwise). Without a catalog, the first event of each name gives that
-    name's type (see :func:`_infer_type`), later events must conform to it,
-    and the catalog is :func:`~efp.events.catalog_of` the inferred types;
-    a second failure type is a ``SchemaError``. Traces with zero events are
-    dropped and counted in ``empty_dropped``.
+    The first event of each name gives that name's type (see
+    :func:`_infer_type`), later events must conform to it (``SchemaError``
+    otherwise), and the catalog is :func:`~efp.events.catalog_of` the
+    inferred types; a second failure type is a ``SchemaError``. Traces with
+    zero events are dropped and counted in ``empty_dropped``.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -135,8 +132,7 @@ def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
     except ElementTree.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
 
-    known = catalog.all_types if catalog is not None else ()
-    types = {t.name: t for t in known}
+    types: dict[str, EventType] = {}
     traces = []
     dropped = 0
     for trace_el in root.iter("trace"):
@@ -155,8 +151,6 @@ def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
                 raise ParseError("event lacks concept:name")
             et = types.get(name)
             if et is None:
-                if catalog is not None:
-                    raise SchemaError(f"event type {name!r} not in catalog")
                 et = types[name] = _infer_type(attrs, tags)
             events.append(_build_event(attrs, instance_id, et))
         outcome = meta.get("efp:outcome")
@@ -169,12 +163,10 @@ def read_xes(source, catalog: EventCatalog | None = None) -> ParsedLog:
                 error_index=int(error_index) if error_index is not None else None,
             )
         )
-    if catalog is None:
-        failures = [t for t in types.values() if t.kind is EventKind.FAILURE]
-        if len(failures) > 1:
-            raise SchemaError(f"second failure type {failures[1].name!r}")
-        catalog = catalog_of(types.values())
-    return ParsedLog(tuple(traces), catalog, dropped)
+    failures = [t for t in types.values() if t.kind is EventKind.FAILURE]
+    if len(failures) > 1:
+        raise SchemaError(f"second failure type {failures[1].name!r}")
+    return ParsedLog(tuple(traces), catalog_of(types.values()), dropped)
 
 
 def _attributes(element) -> tuple[dict[str, str], dict[str, str]]:
@@ -229,33 +221,3 @@ def _build_event(attrs: dict[str, str], instance_id: str,
         payload=tuple(payload),
     )
 
-
-def write_catalog(catalog: EventCatalog) -> str:
-    """Render a catalog in the line-oriented text format:
-    ``kind name field:kind,field:kind,...``."""
-    lines = []
-    for et in catalog.all_types:
-        schema = ",".join(f"{f}:{k.value}" for f, k in et.data_schema)
-        lines.append(f"{et.kind.value} {et.name} {schema}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def read_catalog(text: str) -> EventCatalog:
-    intrinsic = []
-    context = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"catalog line {lineno}: expected 'kind name [schema]'")
-        kind = EventKind(parts[0])
-        schema = []
-        if len(parts) == 3:
-            for item in parts[2].split(","):
-                fname, _, fkind = item.partition(":")
-                schema.append((fname, FieldKind(fkind)))
-        et = EventType(kind, parts[1], tuple(schema))
-        (context if kind is EventKind.CONTEXT else intrinsic).append(et)
-    return EventCatalog(intrinsic=tuple(intrinsic), context=tuple(context))

@@ -352,6 +352,22 @@ def test_run_reports_prediction_errors_on_stderr(training_and_input_logs,
     assert captured.out.endswith("detected 19/19\n")
 
 
+def test_run_reports_training_errors_apart(training_and_input_logs,
+                                           monkeypatch, capsys):
+    def fail(self, trace):
+        raise ValueError("training broke")
+
+    monkeypatch.setattr(FrequencyModel, "train_online", fail)
+    train, _ = training_and_input_logs
+    assert run_cli("run", "--in", str(train)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 2196 prediction errors (first: case-00000 event 0: "
+        "frequency model has seen no training trace)",
+        "warning: 40 training errors (first: case-00000 event 22: "
+        "training broke)",
+    ]
+
+
 @pytest.mark.parametrize("command", ["run", "evaluate"])
 @pytest.mark.parametrize("threshold", ["0", "1.5"])
 def test_threshold_outside_unit_interval_is_usage_error(tmp_path, small_log,
@@ -374,6 +390,12 @@ def test_non_positive_alpha_is_usage_error(tmp_path, training_and_input_logs,
         args = ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))
     assert run_cli(*args, "--alpha", "0") == 2
     assert capsys.readouterr().err.startswith("error: alpha must be")
+
+
+def test_negative_window_is_usage_error(tmp_path, small_log, capsys):
+    assert run_cli("run", "--in", str(small_log), "--out", str(tmp_path / "p.tsv"),
+                   "--window", "-1") == 2
+    assert capsys.readouterr().err == "error: window must be non-negative, got -1\n"
 
 
 @pytest.fixture

@@ -229,30 +229,6 @@ def test_frequency_prediction_is_valid_distribution(small_catalog):
     assert pred.outcomes[0] == FAIL_STATE
 
 
-def test_frequency_checkpoint_round_trip(small_catalog):
-    model = FrequencyModel(small_catalog, window=2, alpha=0.5)
-    model.fit_bins([make_trace(small_catalog, ["C_temp"],
-                               payloads={"C_temp": (1.0,)})])
-    model.train([
-        make_trace(small_catalog, ["A", "B"], label=Outcome.END),
-        make_trace(small_catalog, ["A", "C_temp", "B"], instance_id="t1",
-                   payloads={"C_temp": (0.5,)}, label=Outcome.FAIL),
-    ])
-    clone = FrequencyModel.load(model.save(), small_catalog)
-    trace = make_trace(small_catalog, ["A"])
-    assert np.array_equal(clone.predict(trace).probs,
-                          model.predict(trace).probs)
-
-
-def test_frequency_checkpoint_rejects_other_catalog(small_catalog):
-    from efp.errors import CheckpointMismatch
-
-    model = FrequencyModel(small_catalog)
-    model.train([make_trace(small_catalog, ["A", "B"], label=Outcome.END)])
-    with pytest.raises(CheckpointMismatch):
-        FrequencyModel.load(model.save(), make_catalog(["X", "Y"]))
-
-
 NAN, INF = float("nan"), float("inf")
 
 
@@ -275,18 +251,17 @@ def test_non_finite_readings_bin_without_error(small_catalog):
     assert model.counts[(("A",), ("C_temp", None))][b] == 1.0
     assert model.counts[(("A",), ("C_temp", 0))][b] == 2.0
     assert model.counts[(("A",), ("C_temp", 7))][b] == 2.0
-    clone = FrequencyModel.load(model.save(), small_catalog)
     for reading in (NAN, INF, -INF):
         probe = make_trace(small_catalog, ["A", "C_temp"],
                            payloads={"C_temp": (reading,)})
         prediction = model.start(probe)[1]
         assert prediction.prob("B") > prediction.prob(FAIL_STATE)
-        assert np.array_equal(clone.start(probe)[1].probs, prediction.probs)
 
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"alpha": 0.0}, "alpha"), ({"alpha": -1.0}, "alpha"),
     ({"alpha": NAN}, "alpha"), ({"alpha": INF}, "alpha"), ({"bins": 0}, "bins"),
+    ({"window": -1}, "window"),
 ])
 def test_frequency_model_rejects_bad_alpha_and_bins(small_catalog, kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -349,7 +324,7 @@ def one_pass_corpora():
     return corpora
 
 
-@pytest.mark.parametrize("window", [-1, 0, 1, 3, 50])
+@pytest.mark.parametrize("window", [0, 1, 3, 50])
 def test_one_pass_training_equals_per_prefix_reference(window):
     for catalog, traces in one_pass_corpora():
         model = FrequencyModel(catalog, window=window)

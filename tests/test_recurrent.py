@@ -1,10 +1,9 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
 
-from efp.errors import CheckpointMismatch, DimensionMismatch, UnknownEventType
+from efp.errors import DimensionMismatch, UnknownEventType
 from efp.events import FAIL_STATE, Event, EventTrace, FieldKind, Outcome
 from efp.recurrent import MAX_SEQUENCE, RecurrentModel, encode_trace
 
@@ -116,33 +115,6 @@ def test_train_online_rejects_a_same_named_type_of_another_arity(toy_catalog):
     with pytest.raises(DimensionMismatch):
         model.train_online(trace)
     assert np.array_equal(model.get_flat_params(), before)
-
-
-def test_checkpoint_round_trip(toy_catalog):
-    model = RecurrentModel(toy_catalog, seed=9)
-    model.train([make_trace(toy_catalog, ["A", "B", "C"], label=Outcome.END)])
-    clone = RecurrentModel.load(model.save(), toy_catalog)
-    probe = make_trace(toy_catalog, ["A"])
-    assert np.array_equal(clone.predict(probe).probs,
-                          model.predict(probe).probs)
-    with pytest.raises(CheckpointMismatch):
-        RecurrentModel.load(model.save(), make_catalog(["X"]))
-
-
-def test_checkpoint_with_training_constants_still_loads(toy_catalog):
-    # Older checkpoints also stored the learning rate and sequence cap.
-    model = RecurrentModel(toy_catalog, seed=9)
-    model.train([make_trace(toy_catalog, ["A", "B", "C"], label=Outcome.END)])
-    saved = dict(np.load(io.BytesIO(model.save())))
-    assert "learning_rate" not in saved and "max_sequence" not in saved
-    buf = io.BytesIO()
-    np.savez(buf, **saved, learning_rate=0.05, max_sequence=64)
-    clone = RecurrentModel.load(buf.getvalue(), toy_catalog)
-    more = [make_trace(toy_catalog, ["A", "C", "B"], label=Outcome.FAIL)]
-    model.train(more)
-    clone.train(more)
-    probe = make_trace(toy_catalog, ["A"])
-    assert np.array_equal(clone.predict(probe).probs, model.predict(probe).probs)
 
 
 def test_fail_slot_learnable(toy_catalog):

@@ -245,6 +245,13 @@ def test_backpressure_blocks_publisher_until_drained(order_catalog):
     assert len(seen) == 4
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_bus_rejects_capacity_below_one(capacity):
+    # A queue of capacity 0 would block every publish forever.
+    with pytest.raises(ValueError, match="capacity must be at least 1"):
+        Bus(capacity=capacity)
+
+
 def test_replay_emits_monotone_stream(order_catalog):
     corpus = [
         make_trace(order_catalog, ["A", "B", "C", "E"], instance_id=f"t{i}",

@@ -3,7 +3,7 @@ import pytest
 
 from efp.errors import ParseError, SchemaError
 from efp.events import EventKind, FieldKind, Outcome, catalog_from_traces
-from efp.xes import read_catalog, read_xes, write_catalog, write_xes
+from efp.xes import read_xes, write_xes
 
 from conftest import make_catalog, make_trace, random_catalog_and_traces
 
@@ -97,12 +97,20 @@ def test_missing_concept_name_raises():
         read_xes(xml)
 
 
-def test_schema_mismatch_against_supplied_catalog(order_catalog):
-    other = make_catalog(["A"], contexts=(
-        ("temp", (("different_field", FieldKind.NUMERIC),)),))
-    trace = make_trace(order_catalog, ["A", "temp"], payloads={"temp": (1.0,)})
-    with pytest.raises(SchemaError):
-        read_xes(write_xes([trace]), other)
+@pytest.mark.parametrize("later_schema, message", [
+    ((), "event 'temp' lacks payload field 'reading'"),
+    ((("reading", FieldKind.NUMERIC), ("extra", FieldKind.NUMERIC)),
+     r"event 'temp' carries unknown fields \['extra'\]"),
+], ids=["missing-field", "unknown-field"])
+def test_later_event_must_match_inferred_schema(order_catalog, later_schema,
+                                                message):
+    # The first ``temp`` fixes the type; a later one must carry its fields.
+    other = make_catalog(["A"], contexts=(("temp", later_schema),))
+    first = make_trace(order_catalog, ["A", "temp"], payloads={"temp": (1.0,)})
+    later = make_trace(other, ["A", "temp"], instance_id="case-1",
+                       payloads={"temp": (2.0,) * len(later_schema)})
+    with pytest.raises(SchemaError, match=message):
+        read_xes(write_xes([first, later]))
 
 
 def test_inferred_catalog_recovers_kinds_and_schemas(order_catalog):
@@ -124,8 +132,3 @@ def test_second_failure_type_in_one_log_is_rejected():
     with pytest.raises(SchemaError, match="second failure type 'abort'"):
         read_xes(blob)
 
-
-def test_catalog_file_round_trip(order_catalog):
-    text = write_catalog(order_catalog)
-    assert read_catalog(text) == order_catalog
-    assert write_catalog(read_catalog(text)) == text
