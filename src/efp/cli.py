@@ -240,6 +240,8 @@ def cmd_evaluate(args) -> int:
     # Every plan is checked before the corpus is generated.
     plans = {rate: default_fault_plan(spec, rate, fault_types) for rate in rates}
     config = _config(args, seed)
+    # Built once so that a bad classifier setting fails before generation.
+    config.classifier_factory(spec.catalog())
     cells = sweep(
         spec,
         plans.__getitem__,

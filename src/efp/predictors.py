@@ -95,15 +95,21 @@ class Classifier:
     prediction at the trace's end, ``advance(cursor, state)`` appends one
     hypothetical step.
 
-    Cursor contract: while a classifier is not being trained, equal tuple
-    cursors must give equal predictions. The traversal shares one node per
-    ``(cursor, state)`` within a walk, and the evaluation reuses a whole
-    walk per ``(cursor, state)`` within a fold, on that promise. Cursors of
-    any other type (the recurrent classifier's hidden-state arrays, for
-    instance) are never shared.
+    ``version`` counts the classifier's changes: every mutator
+    (``train_online``, ``fit_bins``, and any other method that changes what
+    ``start`` or ``advance`` return) increments it.
+
+    Cursor contract: at one ``version``, equal tuple cursors must give
+    equal predictions, so at one version and one process model they give
+    equal traversal nodes. On that promise the traversal keeps one node per
+    ``(cursor, state)`` across walks until the version or the model
+    changes, and the evaluation reuses a whole walk per ``(cursor, state)``
+    within a fold. Cursors of any other type (the recurrent classifier's
+    hidden-state arrays, for instance) are never shared.
     """
 
     catalog: EventCatalog
+    version: int = 0
 
     def predict(self, trace: EventTrace) -> Prediction:
         return self.start(trace)[1]
@@ -216,6 +222,7 @@ class FrequencyModel(Classifier):
                     lows[key] = min(lows.get(key, v), v)
                     highs[key] = max(highs.get(key, v), v)
         self.bin_ranges = {k: (lows[k], highs[k]) for k in lows}
+        self.version += 1
 
     # -- training and prediction ------------------------------------------
 
@@ -241,6 +248,7 @@ class FrequencyModel(Classifier):
             row[self._index[target]] += 1.0
         self.trained_traces += 1
         self._prediction_cache.clear()
+        self.version += 1
 
     def start(self, trace: EventTrace):
         if self.trained_traces == 0:

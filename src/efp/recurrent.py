@@ -174,6 +174,7 @@ class RecurrentModel(Classifier):
             for name in _PARAM_NAMES:
                 param = getattr(self, name)
                 param -= LEARNING_RATE * grads[name]
+        self.version += 1
 
     # -- parameter plumbing (used by the gradient check) ----------------------
 
@@ -190,6 +191,7 @@ class RecurrentModel(Classifier):
             chunk = flat[offset:offset + size].reshape(param.shape).copy()
             setattr(self, name, chunk)
             offset += size
+        self.version += 1
 
     def flatten_grads(self, grads: dict) -> np.ndarray:
         return np.concatenate([grads[n].ravel() for n in _PARAM_NAMES])

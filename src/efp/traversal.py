@@ -12,6 +12,7 @@ interval bounds.
 from __future__ import annotations
 
 import enum
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +39,16 @@ class TraversalLimits:
 
 
 UNLIMITED = TraversalLimits(max_depth=100, max_breadth=10_000, min_probability=0.0)
+
+# Path-node expansions one walk may make. Expanded nodes at one depth are
+# disjoint and each has probability at least ``min_probability``, so a walk
+# at the default limits expands at most max_depth / min_probability = 2e5
+# and never reaches this; at a zero cutoff it bounds an exponential walk.
+MAX_EXPANSIONS = 200_000
+
+# Shared nodes the step cache may keep after a walk; past it the cache is
+# dropped. A node of a window-3 frequency model takes about 2 KB.
+NODE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,21 +139,34 @@ class _Node:
 
 
 class _Walker:
-    """Single-traversal state: classifier cursors advance one hypothetical
-    step at a time, so each prefix is evaluated at most once. A node with a
-    hashable (tuple) cursor is shared by every path that reaches its
-    ``(cursor, state)``, so its children are computed, and each of them
-    advanced, once per traversal. Other cursors get a node, and one
+    """Nodes of one classifier version on one model, kept across walks:
+    classifier cursors advance one hypothetical step at a time, so each
+    prefix is evaluated at most once. A node with a hashable (tuple) cursor
+    is shared by every path that reaches its ``(cursor, state)``, so its
+    children are computed, and each of them advanced, once while the
+    classifier's ``version`` holds. Other cursors get a node, and one
     ``advance`` per expanded child, on every path."""
 
-    def __init__(self, classifier, model, limits):
+    def __init__(self, classifier, model):
         self.classifier = classifier
+        self.version = classifier.version
         self.model = model
-        self.limits = limits
-        self.leaves: list = []
-        self.pruned = 0.0
         self._nodes: dict = {}
         self._slot_cache: dict = {}
+
+    def serves(self, classifier, model) -> bool:
+        return (
+            self.classifier is classifier
+            and self.version == classifier.version
+            and self.model is model
+        )
+
+    def unlink(self) -> None:
+        """Drop the links between shared nodes: those of a cyclic model
+        reach one another, and would be left to the cyclic garbage
+        collector."""
+        for node in self._nodes.values():
+            node.children = None
 
     def slots(self, outcomes, state: str):
         """The state's feasible successors as ``(index, name)`` slots of
@@ -191,18 +215,21 @@ class _Walker:
             self._nodes[key] = node
         return node
 
-    def walk(self, cursor, prediction, state: str) -> None:
+    def walk(self, cursor, prediction, state: str, limits: TraversalLimits):
         """Depth first from the current state on an explicit stack of
         ``(ranked children left, node, probability, link, depth)`` frames:
         children are visited in rank order and pruned mass is added up in
-        visiting order."""
-        max_depth = self.limits.max_depth
-        max_breadth = self.limits.max_breadth
-        min_probability = self.limits.min_probability
+        visiting order. Returns the leaves and the pruned mass. Once
+        ``MAX_EXPANSIONS`` path-nodes are expanded, every child not yet
+        visited is pruned."""
+        max_depth = limits.max_depth
+        max_breadth = limits.max_breadth
+        min_probability = limits.min_probability
         finals = self.model.final_states
         advance = self.classifier.advance
-        leaves = self.leaves
+        leaves = []
         pruned = 0.0
+        budget = MAX_EXPANSIONS
         root = self.node(cursor, prediction, state)
         stack = [(enumerate(root.entries), root, 1.0, None, 1)]
         while stack:
@@ -219,7 +246,15 @@ class _Walker:
                     leaves.append((p_child, (link, name, p), Outcome.END, name))
                 elif p_child < min_probability:
                     pruned += p_child
+                elif budget == 0:
+                    pruned += p_child
+                    for left, _, p_left, _, _ in reversed(stack):
+                        for _, (_, q) in left:
+                            pruned += p_left * q
+                    stack.clear()
+                    break
                 else:
+                    budget -= 1
                     children = node.children
                     child = None if children is None else children[rank]
                     if child is None:
@@ -233,12 +268,37 @@ class _Walker:
                     break
             else:
                 stack.pop()
-        self.pruned = pruned
-        # The shared nodes of a cyclic model refer to one another: unlink
-        # them so that they are freed as the traversal returns rather than
-        # left to the cyclic garbage collector.
-        for node in self._nodes.values():
-            node.children = None
+        return leaves, pruned
+
+
+# The step cache: the walker of the last traversal, kept while its
+# classifier, version and model are those of the next one.
+_cached_walker: _Walker | None = None
+_cache_lock = threading.Lock()
+
+
+def _walker(classifier, model) -> _Walker:
+    """The cached walker when it serves ``classifier`` and ``model``, else
+    a new one that replaces it."""
+    global _cached_walker
+    with _cache_lock:
+        walker = _cached_walker
+        if walker is None or not walker.serves(classifier, model):
+            if walker is not None:
+                walker.unlink()
+            walker = _cached_walker = _Walker(classifier, model)
+        return walker
+
+
+def _release(walker: _Walker) -> None:
+    """After a walk: drop the cache once it holds more than ``NODE_CAP``
+    nodes, and unlink a walker that another thread replaced meanwhile."""
+    global _cached_walker
+    with _cache_lock:
+        if _cached_walker is walker and len(walker._nodes) > NODE_CAP:
+            _cached_walker = None
+        if _cached_walker is not walker:
+            walker.unlink()
 
 
 def traverse(
@@ -254,11 +314,15 @@ def traverse(
     predict: the result carries the ``already_final`` flag and the state.
     Otherwise ``explored_mass + pruned_mass == 1`` up to rounding.
 
+    The nodes of tuple cursors are kept between calls, in a step cache for
+    one classifier at one ``version`` on one model (see the cursor contract
+    of ``Classifier``); a call with another classifier, version or model
+    replaces the cache.
+
     ``memo`` is a dict the caller owns for a run of traversals with one
     model, one set of limits and one classifier that is not trained in
     between. A walk from a tuple cursor is stored there under
-    ``(cursor, state)`` and returned again for an equal key (see the
-    cursor contract of ``Classifier``).
+    ``(cursor, state)`` and returned again for an equal key.
     """
     state = current_step(trace)
     if state in model.final_states:
@@ -275,14 +339,17 @@ def traverse(
         result = memo.get(key)
         if result is not None:
             return result
-    walker = _Walker(classifier, model, limits)
-    walker.walk(cursor, prediction, state)
-    leaves = tuple(walker.leaves)
+    walker = _walker(classifier, model)
+    try:
+        leaves, pruned = walker.walk(cursor, prediction, state, limits)
+    finally:
+        _release(walker)
+    leaves = tuple(leaves)
     # Summed largest first, as over the sorted paths: the two orders differ
     # only among paths of equal probability.
     result = TraversalResult(
         explored_mass=sum(sorted([leaf[0] for leaf in leaves], reverse=True)),
-        pruned_mass=walker.pruned,
+        pruned_mass=pruned,
         failure_mass=sum(sorted(
             [leaf[0] for leaf in leaves if leaf[2] is Outcome.FAIL], reverse=True
         )),

@@ -398,6 +398,17 @@ def test_negative_window_is_usage_error(tmp_path, small_log, capsys):
     assert capsys.readouterr().err == "error: window must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--window", "-1", "window must be non-negative, got -1"),
+    ("--alpha", "0", "alpha must be a positive finite number, got 0.0"),
+])
+def test_evaluate_checks_classifier_settings_before_generating(
+        tmp_path, monkeypatch, capsys, flag, value, message):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    assert run_cli("evaluate", "--out", str(tmp_path / "eval"), flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.fixture
 def three_task_log(tmp_path, capsys):
     """A spec of three tasks (``a``, ``b``, ``c``) and a 5-trace log of it."""

@@ -1,12 +1,21 @@
 import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import efp.traversal
 from efp.errors import NoIntrinsicEvent
 from efp.events import FAIL_STATE, Event, EventTrace, Outcome
 from efp.model import ProcessModel, current_step
-from efp.predictors import FrequencyModel
+from efp.predictors import (
+    Classifier,
+    FrequencyModel,
+    Prediction,
+    prediction_outcomes,
+)
 from efp.runtime import Bus
 from efp.traversal import (
     Classification,
@@ -633,19 +642,187 @@ def test_deep_limits_publish_predictions_on_the_bus():
     assert [p.at_event_index for p in bus.prediction_queue] == [0, 1, 2]
 
 
-def test_cyclic_walk_leaves_no_reference_cycles():
-    # The looping model's shared nodes reach themselves; a traversal must
-    # still be freed by reference counting alone.
+def test_cyclic_walk_leaves_no_reference_cycles(monkeypatch):
+    # The looping model's shared nodes reach themselves; when the step cache
+    # drops them they must still be freed by reference counting alone.
     catalog, classifier, model = looping_frequency_model()
+    other = FrequencyModel(catalog, window=2)
+    other.train([make_trace(catalog, ["A", "B", "C"], label=Outcome.END)])
     trace = make_trace(catalog, ["A", "B", "A"])
+
+    def walk(walked_classifier, limits=TraversalLimits()):
+        result = traverse(trace, walked_classifier, model, limits)
+        assert result.explored_mass + result.pruned_mass == pytest.approx(
+            1.0, abs=1e-9)
+
     gc.collect()
     gc.disable()
     try:
         for limits in (TraversalLimits(), DEEP):
-            result = traverse(trace, classifier, model, limits)
-            assert result.explored_mass + result.pruned_mass == pytest.approx(
-                1.0, abs=1e-9)
-            del result
+            walk(classifier, limits)
             assert gc.collect() == 0
+        classifier.train_online(make_trace(
+            catalog, ["A", "B", "A", "B", "C"], instance_id="more",
+            label=Outcome.END))
+        assert gc.collect() == 0
+        walk(classifier)
+        assert gc.collect() == 0
+        walk(other)
+        assert gc.collect() == 0
+        # The cache now serves ``other``: nothing keeps the first one alive.
+        first = weakref.ref(classifier)
+        del classifier
+        assert first() is None
+        assert gc.collect() == 0
+        # A cache past its node cap is dropped after the walk.
+        monkeypatch.setattr(efp.traversal, "NODE_CAP", 0)
+        walk(other, DEEP)
+        assert efp.traversal._cached_walker is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- bounded work per walk ------------------------------------------------------
+
+
+class LastStepStub(Classifier):
+    """Predicts from the last step alone. The cursor is that step's name,
+    not a tuple, so no node is shared and every path is walked."""
+
+    def __init__(self, catalog, rows):
+        self.catalog = catalog
+        self.outcomes = prediction_outcomes(catalog)
+        self.predictions = {
+            state: Prediction(
+                np.array([row.get(name, 0.0) for name in self.outcomes]),
+                self.outcomes)
+            for state, row in rows.items()
+        }
+
+    def start(self, trace):
+        state = current_step(trace)
+        return state, self.predictions[state]
+
+    def advance(self, cursor, state):
+        return state, self.predictions[state]
+
+
+def test_expansion_budget_ends_an_exponential_walk_honestly():
+    # Under breadth 2, A keeps two looping children (A, B) and B one (A)
+    # beside its failure exit: the paths to depth 60 grow as the Fibonacci
+    # numbers, to about 1e12, so only the expansion budget ends the walk.
+    model = ProcessModel(
+        states=frozenset("ABC"),
+        initial_state="A",
+        final_states=frozenset({"C"}),
+        allowed=frozenset({("A", "A"), ("A", "B"), ("B", "A"), ("B", "C")}),
+    )
+    catalog = make_catalog("ABC")
+    stub = LastStepStub(catalog, {
+        "A": {"A": 0.5, "B": 0.4, FAIL_STATE: 0.1},
+        "B": {"A": 0.5, FAIL_STATE: 0.3, "C": 0.2},
+    })
+    # Exact probability of ending in failure from A and from B: f = Q f + r.
+    q = np.array([[0.5, 0.4], [0.5, 0.0]])
+    r = np.array([0.1, 0.3])
+    truth = np.linalg.solve(np.eye(2) - q, r)[0]
+    limits = TraversalLimits(max_depth=60, max_breadth=2, min_probability=0.0)
+    result = traverse(make_trace(catalog, ["A"]), stub, model, limits)
+    assert result.explored_mass + result.pruned_mass == pytest.approx(
+        1.0, abs=1e-9)
+    estimate = failure_probability(result)
+    assert estimate.lower <= truth <= estimate.upper
+
+
+# -- the step cache ---------------------------------------------------------------
+
+
+def cold_traverse(trace, classifier, model, limits):
+    """A traversal that starts from an empty step cache."""
+    efp.traversal._cached_walker = None
+    return traverse(trace, classifier, model, limits)
+
+
+@pytest.mark.parametrize("change", ["train_online", "model", "classifier"])
+def test_stale_step_cache_is_not_served(change):
+    rng = np.random.default_rng(7)
+    model = random_cyclic_model(rng, 6)
+    catalog = make_catalog(sorted(model.states - {FAIL_STATE}))
+    corpus = walk_corpus(rng, model, catalog, 40)
+    other_corpus = walk_corpus(rng, model, catalog, 40)
+    extra = make_trace(catalog, ["s0", "s1", "failure"], instance_id="extra",
+                       label=Outcome.FAIL)
+
+    def trained(traces):
+        classifier = FrequencyModel(catalog, window=3)
+        classifier.train(traces)
+        return classifier
+
+    classifier = trained(corpus)
+    walked, walked_model = classifier, model
+    if change == "train_online":
+        fresh = trained(corpus + [extra])
+    elif change == "model":
+        fresh = trained(corpus)
+        walked_model = ProcessModel(
+            states=model.states,
+            initial_state=model.initial_state,
+            final_states=model.final_states,
+            allowed=model.allowed - {("s0", "s1")},
+        )
+    else:
+        # Trained as often as the first, so only its identity tells them apart.
+        walked, fresh = trained(other_corpus), trained(other_corpus)
+        assert walked.version == classifier.version
+    probe = make_trace(catalog, ["s0"], instance_id="probe")
+    limits = TraversalLimits(max_depth=8)
+    want = cold_traverse(probe, fresh, walked_model, limits)
+    before = cold_traverse(probe, classifier, model, limits)
+    if change == "train_online":
+        classifier.train_online(extra)
+    got = traverse(probe, walked, walked_model, limits)
+    assert before != want
+    assert got == want
+    assert got.paths == want.paths
+
+
+def test_concurrent_traversals_share_the_step_cache_safely():
+    # Four threads switch classifier and model on every traversal, so each
+    # replaces the cache that another may be walking.
+    rng = np.random.default_rng(13)
+    model = random_cyclic_model(rng, 6)
+    catalog, first = trained_frequency(rng, model)
+    _, second = trained_frequency(rng, model)
+    other_model = ProcessModel(
+        states=model.states,
+        initial_state=model.initial_state,
+        final_states=model.final_states,
+        allowed=model.allowed - {("s0", "s1")},
+    )
+    probes = [make_trace(catalog, [s], instance_id="probe")
+              for s in sorted(model.states - model.final_states - {FAIL_STATE})]
+    jobs = [(c, m, p) for c in (first, second) for m in (model, other_model)
+            for p in probes]
+    want = [cold_traverse(p, c, m, TraversalLimits()) for c, m, p in jobs]
+    wrong = []
+
+    def work(offset):
+        for i in range(3 * len(jobs)):
+            j = (offset + i) % len(jobs)
+            got = traverse(jobs[j][2], jobs[j][0], jobs[j][1])
+            if got != want[j] or got.paths != want[j].paths:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
