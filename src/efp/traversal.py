@@ -12,7 +12,7 @@ interval bounds.
 from __future__ import annotations
 
 import enum
-import threading
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -125,11 +125,18 @@ class TraversalResult:
         return tuple(sorted(map(_outcome_path, leaves), key=_path_order)[:k])
 
 
+def _absent():
+    """The child slot of a child not reached yet: called like the weak
+    reference that replaces it, it gives no node."""
+    return None
+
+
 class _Node:
     """One ``(cursor, state)`` context of a traversal: its ranked children
-    and, when the node is shared, one slot per child for the child's node."""
+    and, when the node is shared, one slot per child for a weak reference
+    to the child's node."""
 
-    __slots__ = ("cursor", "state", "entries", "children")
+    __slots__ = ("cursor", "state", "entries", "children", "__weakref__")
 
     def __init__(self, cursor, state, entries, children):
         self.cursor = cursor
@@ -145,28 +152,19 @@ class _Walker:
     is shared by every path that reaches its ``(cursor, state)``, so its
     children are computed, and each of them advanced, once while the
     classifier's ``version`` holds. Other cursors get a node, and one
-    ``advance`` per expanded child, on every path."""
+    ``advance`` per expanded child, on every path.
 
-    def __init__(self, classifier, model):
-        self.classifier = classifier
-        self.version = classifier.version
+    Only ``nodes`` holds the shared nodes; a child slot refers to its child
+    weakly. Nodes of a cyclic model thus form no reference cycle: a dropped
+    walker is freed by reference counting, and a walk may go on in a walker
+    that another thread has just replaced. The walker keeps no reference to
+    its classifier, which the step cache holds only weakly."""
+
+    def __init__(self, version: int, model: ProcessModel):
+        self.version = version
         self.model = model
-        self._nodes: dict = {}
+        self.nodes: dict = {}
         self._slot_cache: dict = {}
-
-    def serves(self, classifier, model) -> bool:
-        return (
-            self.classifier is classifier
-            and self.version == classifier.version
-            and self.model is model
-        )
-
-    def unlink(self) -> None:
-        """Drop the links between shared nodes: those of a cyclic model
-        reach one another, and would be left to the cyclic garbage
-        collector."""
-        for node in self._nodes.values():
-            node.children = None
 
     def slots(self, outcomes, state: str):
         """The state's feasible successors as ``(index, name)`` slots of
@@ -208,25 +206,25 @@ class _Walker:
         if not isinstance(cursor, tuple):
             return _Node(cursor, state, self.candidates(prediction, state), None)
         key = (cursor, state)
-        node = self._nodes.get(key)
+        node = self.nodes.get(key)
         if node is None:
             entries = self.candidates(prediction, state)
-            node = _Node(cursor, state, entries, [None] * len(entries))
-            self._nodes[key] = node
+            node = _Node(cursor, state, entries, [_absent] * len(entries))
+            self.nodes[key] = node
         return node
 
-    def walk(self, cursor, prediction, state: str, limits: TraversalLimits):
+    def walk(self, advance, cursor, prediction, state: str,
+             limits: TraversalLimits):
         """Depth first from the current state on an explicit stack of
         ``(ranked children left, node, probability, link, depth)`` frames:
         children are visited in rank order and pruned mass is added up in
-        visiting order. Returns the leaves and the pruned mass. Once
-        ``MAX_EXPANSIONS`` path-nodes are expanded, every child not yet
-        visited is pruned."""
+        visiting order. ``advance`` is the classifier's. Returns the leaves
+        and the pruned mass. Once ``MAX_EXPANSIONS`` path-nodes are
+        expanded, every further child that is no leaf is pruned."""
         max_depth = limits.max_depth
         max_breadth = limits.max_breadth
         min_probability = limits.min_probability
         finals = self.model.final_states
-        advance = self.classifier.advance
         leaves = []
         pruned = 0.0
         budget = MAX_EXPANSIONS
@@ -244,23 +242,16 @@ class _Walker:
                     leaves.append((p_child, (link, name, p), Outcome.FAIL, node.state))
                 elif name in finals:
                     leaves.append((p_child, (link, name, p), Outcome.END, name))
-                elif p_child < min_probability:
+                elif p_child < min_probability or budget == 0:
                     pruned += p_child
-                elif budget == 0:
-                    pruned += p_child
-                    for left, _, p_left, _, _ in reversed(stack):
-                        for _, (_, q) in left:
-                            pruned += p_left * q
-                    stack.clear()
-                    break
                 else:
                     budget -= 1
                     children = node.children
-                    child = None if children is None else children[rank]
+                    child = None if children is None else children[rank]()
                     if child is None:
                         child = self.node(*advance(node.cursor, name), name)
-                        if children is not None:
-                            children[rank] = child
+                        if children is not None and child.children is not None:
+                            children[rank] = weakref.ref(child)
                     stack.append((
                         enumerate(child.entries), child, p_child, (link, name, p),
                         depth + 1,
@@ -271,34 +262,21 @@ class _Walker:
         return leaves, pruned
 
 
-# The step cache: the walker of the last traversal, kept while its
-# classifier, version and model are those of the next one.
-_cached_walker: _Walker | None = None
-_cache_lock = threading.Lock()
+# The step cache: for each live classifier, the walker of its current
+# version on the model it was last traversed with. Classifiers are keys by
+# identity (none defines ``==``) and held weakly, so a classifier's nodes
+# go with it.
+_walkers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _walker(classifier, model) -> _Walker:
-    """The cached walker when it serves ``classifier`` and ``model``, else
-    a new one that replaces it."""
-    global _cached_walker
-    with _cache_lock:
-        walker = _cached_walker
-        if walker is None or not walker.serves(classifier, model):
-            if walker is not None:
-                walker.unlink()
-            walker = _cached_walker = _Walker(classifier, model)
-        return walker
-
-
-def _release(walker: _Walker) -> None:
-    """After a walk: drop the cache once it holds more than ``NODE_CAP``
-    nodes, and unlink a walker that another thread replaced meanwhile."""
-    global _cached_walker
-    with _cache_lock:
-        if _cached_walker is walker and len(walker._nodes) > NODE_CAP:
-            _cached_walker = None
-        if _cached_walker is not walker:
-            walker.unlink()
+    """The cached walker when it serves ``classifier`` at its version and
+    ``model``, else a new one that replaces it."""
+    walker = _walkers.get(classifier)
+    if (walker is None or walker.version != classifier.version
+            or walker.model is not model):
+        walker = _walkers[classifier] = _Walker(classifier.version, model)
+    return walker
 
 
 def traverse(
@@ -314,10 +292,12 @@ def traverse(
     predict: the result carries the ``already_final`` flag and the state.
     Otherwise ``explored_mass + pruned_mass == 1`` up to rounding.
 
-    The nodes of tuple cursors are kept between calls, in a step cache for
-    one classifier at one ``version`` on one model (see the cursor contract
-    of ``Classifier``); a call with another classifier, version or model
-    replaces the cache.
+    The nodes of tuple cursors are kept between calls, in a step cache of
+    each classifier for its current ``version`` on one model (see the
+    cursor contract of ``Classifier``). A call at another version or with
+    another model replaces that classifier's cache, a walk that leaves it
+    with more than ``NODE_CAP`` nodes drops it, and it is freed with the
+    classifier: the cache holds classifiers weakly.
 
     ``memo`` is a dict the caller owns for a run of traversals with one
     model, one set of limits and one classifier that is not trained in
@@ -341,9 +321,14 @@ def traverse(
             return result
     walker = _walker(classifier, model)
     try:
-        leaves, pruned = walker.walk(cursor, prediction, state, limits)
+        leaves, pruned = walker.walk(
+            classifier.advance, cursor, prediction, state, limits
+        )
     finally:
-        _release(walker)
+        # Past the cap the classifier's cache is dropped; if another thread
+        # has just put a newer walker there, that one goes too and is rebuilt.
+        if len(walker.nodes) > NODE_CAP:
+            _walkers.pop(classifier, None)
     leaves = tuple(leaves)
     # Summed largest first, as over the sorted paths: the two orders differ
     # only among paths of equal probability.

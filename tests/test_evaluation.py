@@ -376,9 +376,9 @@ def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch)
     walked = []
     walk = efp.traversal._Walker.walk
 
-    def counting_walk(self, cursor, prediction, state, limits):
+    def counting_walk(self, advance, cursor, prediction, state, limits):
         walked.append((cursor, state))
-        return walk(self, cursor, prediction, state, limits)
+        return walk(self, advance, cursor, prediction, state, limits)
 
     monkeypatch.setattr(efp.traversal._Walker, "walk", counting_walk)
 

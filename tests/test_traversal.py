@@ -1,3 +1,4 @@
+import copy
 import gc
 import sys
 import threading
@@ -677,7 +678,7 @@ def test_cyclic_walk_leaves_no_reference_cycles(monkeypatch):
         # A cache past its node cap is dropped after the walk.
         monkeypatch.setattr(efp.traversal, "NODE_CAP", 0)
         walk(other, DEEP)
-        assert efp.traversal._cached_walker is None
+        assert other not in efp.traversal._walkers
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -739,9 +740,9 @@ def test_expansion_budget_ends_an_exponential_walk_honestly():
 
 
 def cold_traverse(trace, classifier, model, limits):
-    """A traversal that starts from an empty step cache."""
-    efp.traversal._cached_walker = None
-    return traverse(trace, classifier, model, limits)
+    """A traversal with a copy of ``classifier``, whose step cache starts
+    empty."""
+    return traverse(trace, copy.deepcopy(classifier), model, limits)
 
 
 @pytest.mark.parametrize("change", ["train_online", "model", "classifier"])
@@ -778,7 +779,7 @@ def test_stale_step_cache_is_not_served(change):
     probe = make_trace(catalog, ["s0"], instance_id="probe")
     limits = TraversalLimits(max_depth=8)
     want = cold_traverse(probe, fresh, walked_model, limits)
-    before = cold_traverse(probe, classifier, model, limits)
+    before = traverse(probe, classifier, model, limits)
     if change == "train_online":
         classifier.train_online(extra)
     got = traverse(probe, walked, walked_model, limits)
@@ -789,9 +790,10 @@ def test_stale_step_cache_is_not_served(change):
 
 def test_concurrent_traversals_share_the_step_cache_safely():
     # Four threads switch classifier and model on every traversal, so each
-    # replaces the cache that another may be walking.
+    # replaces a cache that another may be walking. Walks are made deep
+    # enough that the threads interleave in the middle of them.
     rng = np.random.default_rng(13)
-    model = random_cyclic_model(rng, 6)
+    model = random_cyclic_model(rng, 10)
     catalog, first = trained_frequency(rng, model)
     _, second = trained_frequency(rng, model)
     other_model = ProcessModel(
@@ -804,13 +806,18 @@ def test_concurrent_traversals_share_the_step_cache_safely():
               for s in sorted(model.states - model.final_states - {FAIL_STATE})]
     jobs = [(c, m, p) for c in (first, second) for m in (model, other_model)
             for p in probes]
-    want = [cold_traverse(p, c, m, TraversalLimits()) for c, m, p in jobs]
+    limits = TraversalLimits(max_depth=12, min_probability=1e-6)
+    want = [cold_traverse(p, c, m, limits) for c, m, p in jobs]
     wrong = []
 
     def work(offset):
-        for i in range(3 * len(jobs)):
+        for i in range(8 * len(jobs)):
             j = (offset + i) % len(jobs)
-            got = traverse(jobs[j][2], jobs[j][0], jobs[j][1])
+            try:
+                got = traverse(jobs[j][2], jobs[j][0], jobs[j][1], limits)
+            except Exception as exc:  # a thread's exception would only end it
+                wrong.append((j, repr(exc)))
+                continue
             if got != want[j] or got.paths != want[j].paths:
                 wrong.append(j)
 
