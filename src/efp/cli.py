@@ -233,6 +233,8 @@ def cmd_evaluate(args) -> int:
               "means of per-fold metrics; both summaries are valid")
         return 0
 
+    if args.k < 2:
+        raise UsageError(f"--k must be at least 2, got {args.k}")
     spec = _load_spec(args.spec)
     rates = [_check_rate(float(r)) for r in args.rate.split(",")]
     scenarios = [Scenario.parse(s) for s in args.scenario.split(",")]

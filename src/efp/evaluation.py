@@ -303,11 +303,14 @@ def cross_validate(
     """Shuffled k-fold cross validation with a fixed seed.
 
     Folds whose train or test part contains a single class are skipped
-    and recorded in the report. Raises ``InsufficientData`` when fewer
-    than ``k`` labeled traces or only one class is present overall.
+    and recorded in the report. Raises ``ValueError`` when ``k < 2`` and
+    ``InsufficientData`` when fewer than ``k`` labeled traces or only one
+    class is present overall.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     labeled = [t for t in traces if t.outcome_label is not None]
-    if k < 2 or len(labeled) < k:
+    if len(labeled) < k:
         raise InsufficientData(f"need at least k={k} labeled traces")
     classes = {t.outcome_label for t in labeled}
     if len(classes) < 2:

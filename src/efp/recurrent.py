@@ -121,7 +121,7 @@ class RecurrentModel(Classifier):
         if column is None:
             raise UnknownEventType(f"state {state!r} not in catalog")
         # Same operand order as ``_step``; ``w_in`` is read at call time
-        # because training updates it in place and loading rebinds it.
+        # because training updates it in place.
         hidden = np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
         return hidden, self._readout(hidden)
 
@@ -175,23 +175,3 @@ class RecurrentModel(Classifier):
                 param = getattr(self, name)
                 param -= LEARNING_RATE * grads[name]
         self.version += 1
-
-    # -- parameter plumbing (used by the gradient check) ----------------------
-
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate(
-            [getattr(self, n).ravel() for n in _PARAM_NAMES]
-        )
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for name in _PARAM_NAMES:
-            param = getattr(self, name)
-            size = param.size
-            chunk = flat[offset:offset + size].reshape(param.shape).copy()
-            setattr(self, name, chunk)
-            offset += size
-        self.version += 1
-
-    def flatten_grads(self, grads: dict) -> np.ndarray:
-        return np.concatenate([grads[n].ravel() for n in _PARAM_NAMES])

@@ -2,10 +2,12 @@
 failure-prediction component per live instance.
 
 The bus is a deterministic stand-in for a message broker: publishers
-append to per-instance bounded queues, subscribers observe each event
-exactly once in publish order, and prediction events land on a shared
-outgoing queue. Publishing is thread-safe; each instance's events are
-dispatched strictly sequentially.
+append to per-instance bounded queues, and each queue has one consumer,
+the instance's ``EfpInstance``, which sees every event exactly once in
+publish order. Events published before ``start_instance`` wait in their
+queue and are delivered when the instance starts. Prediction events land
+on a shared outgoing queue. Publishing is thread-safe; each instance's
+events are dispatched strictly sequentially.
 """
 
 from __future__ import annotations
@@ -134,34 +136,20 @@ class EfpInstance:
 
 
 class Bus:
-    """Queues, subscribers, and the outgoing prediction stream."""
+    """Per-instance queues, each consumed by its instance's EFP component,
+    and the outgoing prediction and error streams."""
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self.queues: dict[str, deque] = {}
-        self.subscribers: dict[str, list] = {}
         self.instances: dict[str, EfpInstance] = {}
         self.prediction_queue: list[PredictionEvent] = []
         self.error_queue: list[ErrorEvent] = []
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._dispatching: set[str] = set()
-
-    def _queue_locked(self, instance_id: str) -> deque:
-        queue = self.queues.get(instance_id)
-        if queue is None:
-            queue = deque()
-            self.queues[instance_id] = queue
-            self.subscribers[instance_id] = []
-        return queue
-
-    def subscribe(self, instance_id: str, handler) -> None:
-        with self._lock:
-            self._queue_locked(instance_id)
-            self.subscribers[instance_id].append(handler)
-            self._drain_locked(instance_id)
 
     def start_instance(
         self,
@@ -170,48 +158,47 @@ class Bus:
         model: ProcessModel,
         limits: TraversalLimits = TraversalLimits(),
     ) -> EfpInstance:
-        """Allocate the instance queue and attach a fresh EFP component."""
+        """Attach a fresh EFP component to the instance queue (allocating
+        it if need be) and deliver the events already published to it,
+        which also wakes a publisher blocked on that full queue."""
         with self._lock:
             if instance_id in self.instances:
                 raise DuplicateInstance(f"instance {instance_id!r} already live")
             instance = EfpInstance(self, instance_id, classifier, model, limits)
             self.instances[instance_id] = instance
-            self._queue_locked(instance_id)
-            self.subscribers[instance_id].append(instance.on_event)
+            self.queues.setdefault(instance_id, deque())
+            self._drain_locked(instance_id)
         return instance
 
     def publish(self, event: Event) -> None:
         """Append an event to its instance queue and dispatch it.
 
         Queues are created on first publish. Dispatch happens inline while
-        holding the per-queue dispatch flag, so subscribers of one queue
-        always observe events sequentially and exactly once, even with
-        concurrent publishers.
+        holding the per-queue dispatch flag, so the instance sees the events
+        of its queue sequentially and exactly once, even with concurrent
+        publishers. Until the instance starts, its events stay queued.
         """
         instance_id = event.global_instance_id
         with self._not_full:
-            queue = self._queue_locked(instance_id)
+            queue = self.queues.setdefault(instance_id, deque())
             while len(queue) >= self.capacity:
                 self._not_full.wait()
             queue.append(event)
             self._drain_locked(instance_id)
 
     def _drain_locked(self, instance_id: str) -> None:
-        if instance_id in self._dispatching:
-            return
-        if not self.subscribers[instance_id]:
-            return  # retain events until a consumer attaches
+        instance = self.instances.get(instance_id)
+        if instance is None or instance_id in self._dispatching:
+            return  # not started yet, or another thread is delivering
         self._dispatching.add(instance_id)
         queue = self.queues[instance_id]
         try:
             while queue:
                 item = queue.popleft()
                 self._not_full.notify_all()
-                handlers = list(self.subscribers[instance_id])
                 self._lock.release()
                 try:
-                    for handler in handlers:
-                        handler(item)
+                    instance.on_event(item)
                 finally:
                     self._lock.acquire()
         finally:

@@ -19,6 +19,7 @@ from efp.events import (
 )
 from efp.model import ProcessModel
 from efp.predictors import Classifier, Prediction, prediction_outcomes
+from efp.recurrent import _PARAM_NAMES
 
 
 def make_catalog(steps, contexts=(), fail_name="failure"):
@@ -79,6 +80,29 @@ class StubClassifier(Classifier):
 
     def train_online(self, trace):
         pass  # scripted stubs do not learn
+
+
+# -- the recurrent classifier's parameters as one vector (gradient checks) ----
+
+
+def get_flat_params(model) -> np.ndarray:
+    return np.concatenate([getattr(model, n).ravel() for n in _PARAM_NAMES])
+
+
+def set_flat_params(model, flat: np.ndarray) -> None:
+    """Rebind every parameter of ``model`` to a slice of ``flat``. Like any
+    mutator of a classifier it bumps ``model.version``."""
+    offset = 0
+    for name in _PARAM_NAMES:
+        param = getattr(model, name)
+        chunk = flat[offset:offset + param.size].reshape(param.shape).copy()
+        setattr(model, name, chunk)
+        offset += param.size
+    model.version += 1
+
+
+def flatten_grads(grads: dict) -> np.ndarray:
+    return np.concatenate([grads[n].ravel() for n in _PARAM_NAMES])
 
 
 @pytest.fixture

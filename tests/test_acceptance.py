@@ -43,7 +43,14 @@ from efp.traversal import (
 )
 from efp.xes import read_xes, write_xes
 
-from conftest import make_catalog, make_trace, random_catalog_and_traces
+from conftest import (
+    flatten_grads,
+    get_flat_params,
+    make_catalog,
+    make_trace,
+    random_catalog_and_traces,
+    set_flat_params,
+)
 from test_traversal import (
     enumerate_outcomes,
     random_cyclic_model,
@@ -238,17 +245,17 @@ def test_criterion_08_classifier_contracts():
     rows = encode_trace(make_trace(toy, ["A", "B", "A"]), toy)
     target = model.outcomes.index("C")
     _, grads = model.loss_and_grads(rows, target)
-    analytic = model.flatten_grads(grads)
-    params = model.get_flat_params()
+    analytic = flatten_grads(grads)
+    params = get_flat_params(model)
     numeric = np.zeros_like(params)
     eps = 1e-6
     for i in range(len(params)):
         bumped = params.copy()
         bumped[i] += eps
-        model.set_flat_params(bumped)
+        set_flat_params(model, bumped)
         up, _ = model.loss_and_grads(rows, target)
         bumped[i] -= 2 * eps
-        model.set_flat_params(bumped)
+        set_flat_params(model, bumped)
         down, _ = model.loss_and_grads(rows, target)
         numeric[i] = (up - down) / (2 * eps)
     rel = np.linalg.norm(analytic - numeric) / max(

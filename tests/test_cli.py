@@ -409,6 +409,14 @@ def test_evaluate_checks_classifier_settings_before_generating(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_evaluate_rejects_fewer_than_two_folds_before_generating(
+        tmp_path, monkeypatch, capsys, k):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    assert run_cli("evaluate", "--out", str(tmp_path / "eval"), "--k", k) == 2
+    assert capsys.readouterr().err == f"error: --k must be at least 2, got {k}\n"
+
+
 @pytest.fixture
 def three_task_log(tmp_path, capsys):
     """A spec of three tasks (``a``, ``b``, ``c``) and a 5-trace log of it."""

@@ -171,6 +171,9 @@ def test_cross_validate_requires_enough_data():
         cross_validate(few, k=5)
     with pytest.raises(InsufficientData):  # single class overall
         cross_validate(few * 4, k=2)
+    for k in (1, 0):  # too few folds is a bad argument, not too few traces
+        with pytest.raises(ValueError, match=f"k must be at least 2, got {k}"):
+            cross_validate(few * 4, k=k)
 
 
 def test_single_class_folds_are_skipped_and_recorded():

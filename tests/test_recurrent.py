@@ -7,7 +7,13 @@ from efp.errors import DimensionMismatch, UnknownEventType
 from efp.events import FAIL_STATE, Event, EventTrace, FieldKind, Outcome
 from efp.recurrent import MAX_SEQUENCE, RecurrentModel, encode_trace
 
-from conftest import make_catalog, make_trace
+from conftest import (
+    flatten_grads,
+    get_flat_params,
+    make_catalog,
+    make_trace,
+    set_flat_params,
+)
 
 
 @pytest.fixture
@@ -64,21 +70,21 @@ def test_gradient_check_against_finite_differences(toy_catalog):
     target = model.outcomes.index("C")
 
     _, grads = model.loss_and_grads(rows, target)
-    analytic = model.flatten_grads(grads)
+    analytic = flatten_grads(grads)
 
-    params = model.get_flat_params()
+    params = get_flat_params(model)
     eps = 1e-6
     numeric = np.zeros_like(params)
     for i in range(len(params)):
         bumped = params.copy()
         bumped[i] += eps
-        model.set_flat_params(bumped)
+        set_flat_params(model, bumped)
         up, _ = model.loss_and_grads(rows, target)
         bumped[i] -= 2 * eps
-        model.set_flat_params(bumped)
+        set_flat_params(model, bumped)
         down, _ = model.loss_and_grads(rows, target)
         numeric[i] = (up - down) / (2 * eps)
-    model.set_flat_params(params)
+    set_flat_params(model, params)
 
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     rel = np.linalg.norm(analytic - numeric) / denom
@@ -109,12 +115,12 @@ def test_train_online_rejects_a_same_named_type_of_another_arity(toy_catalog):
         ("A", (("v", FieldKind.NUMERIC),)),))
     trace = make_trace(other, ["B", "A", "C"], payloads={"A": (1.0,)},
                        label=Outcome.END)
-    before = model.get_flat_params()
+    before = get_flat_params(model)
     with pytest.raises(DimensionMismatch):
         model.start(trace)
     with pytest.raises(DimensionMismatch):
         model.train_online(trace)
-    assert np.array_equal(model.get_flat_params(), before)
+    assert np.array_equal(get_flat_params(model), before)
 
 
 def test_fail_slot_learnable(toy_catalog):
@@ -163,7 +169,7 @@ def _assert_advance_is_full_step(model):
 
 def test_advance_equals_onehot_step_as_weights_change(payload_catalog):
     # One model throughout, so a copy of the weights kept from an earlier
-    # call would show after training and after loading new parameters.
+    # call would show after training and after rebinding new parameters.
     model = RecurrentModel(payload_catalog, seed=7)
     assert payload_catalog.max_data_arity == 2
     assert FAIL_STATE in model.outcomes
@@ -177,7 +183,9 @@ def test_advance_equals_onehot_step_as_weights_change(payload_catalog):
     _assert_advance_is_full_step(model)
 
     rng = np.random.default_rng(3)
-    model.set_flat_params(rng.normal(size=model.get_flat_params().size))
+    version = model.version
+    set_flat_params(model, rng.normal(size=get_flat_params(model).size))
+    assert model.version == version + 1  # rebinding is a change too
     _assert_advance_is_full_step(model)
 
 
@@ -238,7 +246,7 @@ def test_start_and_train_online_are_pinned_bit_for_bit(payload_catalog):
     weights = hashlib.sha256()
     for trace in traces:
         model.train_online(trace)
-        weights.update(_float_hex(model.get_flat_params()))
+        weights.update(_float_hex(get_flat_params(model)))
     assert (untrained, weights.hexdigest(), start_digest()) == (
         "d6a14ca26dfdf4afe89c74dacd55ff6ba704187787475b32631bf6913a0869ef",
         "2fe95a3eed943562a4e32894a67fcd404b2b04b72f67b06fe28069f7251d3e29",

@@ -43,22 +43,30 @@ def test_start_instance_allocates_queue(order_catalog, chain_setup):
         bus.start_instance("i1", stub, model)
 
 
-def test_fifo_delivery(order_catalog):
+def test_fifo_delivery(order_catalog, chain_setup):
+    model, stub = chain_setup
     bus = Bus()
-    seen = []
-    bus.subscribe("i1", seen.append)
+    instance = bus.start_instance("i1", stub, model)
     for i in range(3):
         bus.publish(_event(order_catalog, "A", 1_000 * i, "i1"))
-    assert [e.timestamp for e in seen] == [0, 1_000, 2_000]
+    assert [e.timestamp for e in instance.events] == [0, 1_000, 2_000]
+    assert [p.timestamp for p in bus.prediction_queue] == [0, 1_000, 2_000]
 
 
-def test_publish_before_subscribe_retains_events(order_catalog):
+def test_publish_before_start_instance_is_delivered_at_start(order_catalog,
+                                                             chain_setup):
+    model, stub = chain_setup
     bus = Bus()
     bus.publish(_event(order_catalog, "A", 0, "ghost"))
-    assert "ghost" in bus.queues  # auto-allocated
-    seen = []
-    bus.subscribe("ghost", seen.append)
-    assert len(seen) == 1  # delivered once the consumer attached
+    assert len(bus.queues["ghost"]) == 1  # auto-allocated, event retained
+    assert bus.prediction_queue == []
+    instance = bus.start_instance("ghost", stub, model)
+    # Delivered and predicted by the start itself, with no later publish.
+    assert [e.state for e in instance.events] == ["A"]
+    assert not bus.queues["ghost"]
+    assert [p.at_event_index for p in bus.prediction_queue] == [0]
+    bus.publish(_event(order_catalog, "B", 1, "ghost"))
+    assert [e.state for e in instance.events] == ["A", "B"]  # exactly once
 
 
 def test_queue_isolation(order_catalog, chain_setup):
@@ -73,12 +81,14 @@ def test_queue_isolation(order_catalog, chain_setup):
     assert [e.state for e in b.events] == ["A"]
 
 
-def test_concurrent_producers_preserve_per_producer_order(order_catalog):
+def test_concurrent_producers_preserve_per_producer_order(order_catalog,
+                                                         chain_setup):
+    model, stub = chain_setup
     bus = Bus()
-    received = {}
-    for p in range(4):
-        received[f"i{p}"] = []
-        bus.subscribe(f"i{p}", received[f"i{p}"].append)
+    received = {
+        f"i{p}": bus.start_instance(f"i{p}", stub, model).events
+        for p in range(4)
+    }
 
     def produce(p):
         for i in range(250):
@@ -222,9 +232,11 @@ def test_diverged_classifier_publishes_error_not_fallback(order_catalog,
     assert not bus.prediction_queue
 
 
-def test_backpressure_blocks_publisher_until_drained(order_catalog):
+def test_backpressure_blocks_publisher_until_drained(order_catalog,
+                                                     chain_setup):
     import time
 
+    model, stub = chain_setup
     bus = Bus(capacity=3)
     for i in range(3):
         bus.publish(_event(order_catalog, "A", i, "i1"))
@@ -238,11 +250,10 @@ def test_backpressure_blocks_publisher_until_drained(order_catalog):
     t.start()
     time.sleep(0.05)
     assert not unblocked.is_set()  # queue full, publisher blocked
-    seen = []
-    bus.subscribe("i1", seen.append)  # drains the queue
+    instance = bus.start_instance("i1", stub, model)  # drains the queue
     t.join(timeout=2)
     assert unblocked.is_set()
-    assert len(seen) == 4
+    assert [e.timestamp for e in instance.events] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
