@@ -99,13 +99,13 @@ class Classifier:
     (``train_online``, ``fit_bins``, and any other method that changes what
     ``start`` or ``advance`` return) increments it.
 
-    Cursor contract: at one ``version``, equal tuple cursors must give
-    equal predictions, so at one version and one process model they give
-    equal traversal nodes. On that promise the traversal keeps one node per
-    ``(cursor, state)`` across walks until the version or the model
-    changes, and the evaluation reuses a whole walk per ``(cursor, state)``
-    within a fold. Cursors of any other type (the recurrent classifier's
-    hidden-state arrays, for instance) are never shared.
+    Cursor contract: a cursor's key is its bytes if it is a numpy array,
+    else the (hashable) cursor itself. At one ``version``, cursors with
+    equal keys must give equal predictions. On that promise the traversal
+    keeps one node per ``(key, state)`` across walks until the version or
+    the process model changes, and the evaluation reuses a whole walk per
+    ``(key, state)`` within a fold. ``advance`` must not change its
+    cursor, which may be a read-only array over its key's bytes.
     """
 
     catalog: EventCatalog

@@ -375,15 +375,38 @@ class ConstantCursor(Classifier):
         pass
 
 
+class RecordingRecurrent(RecurrentModel):
+    """A recurrent model that records every traversal it starts by its
+    ``(hidden-state bytes, state)``."""
+
+    def __init__(self, catalog):
+        super().__init__(catalog)
+        self.requested = []
+
+    def start(self, trace):
+        hidden, prediction = super().start(trace)
+        self.requested.append((hidden.tobytes(), trace.states[-1]))
+        return hidden, prediction
+
+
 def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch):
     walked = []
     walk = efp.traversal._Walker.walk
 
     def counting_walk(self, advance, cursor, prediction, state, limits):
-        walked.append((cursor, state))
+        key = cursor.tobytes() if isinstance(cursor, np.ndarray) else cursor
+        walked.append((key, state))
         return walk(self, advance, cursor, prediction, state, limits)
 
     monkeypatch.setattr(efp.traversal._Walker, "walk", counting_walk)
+    estimates = []
+
+    def recording(result):
+        estimates.append(failure_probability(result))
+        return estimates[-1]
+
+    monkeypatch.setattr(efp.traversal, "failure_probability", recording)
+    monkeypatch.setattr(efp.evaluation, "failure_probability", recording)
 
     def trace(names, i, label, error_index=None):
         return replace(make_trace(order_catalog, names, instance_id=f"t{i}",
@@ -401,17 +424,22 @@ def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch)
         + [trace(["A", "B", "C", "failure"], 30 + i, Outcome.FAIL, error_index=0)
            for i in range(3)]
     )
-    made = []
+    # A recurrent classifier's equal prefixes reach equal hidden states,
+    # which the memo keys by their bytes.
+    for kind in (ConstantCursor, RecordingRecurrent):
+        made = []
 
-    def factory(catalog):
-        made.append(ConstantCursor(catalog))
-        return made[-1]
+        def factory(catalog):
+            made.append(kind(catalog))
+            return made[-1]
 
-    config = PipelineConfig(classifier_factory=factory)
-    for call in range(2):
-        del walked[:]
-        evaluate_split(train, test, config, order_catalog)
-        requested = made[call].requested
-        distinct = list(dict.fromkeys(requested))
-        assert len(requested) > len(distinct) > 2
-        assert walked == distinct
+        config = PipelineConfig(classifier_factory=factory)
+        for call in range(2):
+            del walked[:], estimates[:]
+            result = evaluate_split(train, test, config, order_catalog)
+            requested = made[-1].requested
+            distinct = list(dict.fromkeys(requested))
+            assert len(requested) > len(distinct) > 2
+            assert walked == distinct
+            assert (result, estimates) == reference_split(
+                train, test, config, order_catalog)

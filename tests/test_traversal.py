@@ -17,6 +17,7 @@ from efp.predictors import (
     Prediction,
     prediction_outcomes,
 )
+from efp.recurrent import RecurrentModel
 from efp.runtime import Bus
 from efp.traversal import (
     Classification,
@@ -643,6 +644,26 @@ def test_deep_limits_publish_predictions_on_the_bus():
     assert [p.at_event_index for p in bus.prediction_queue] == [0, 1, 2]
 
 
+def test_estimates_and_predictions_are_python_floats(order_catalog,
+                                                    order_model, table_stub):
+    # Classifiers give numpy probabilities; the walk keeps Python floats.
+    recurrent = RecurrentModel(order_catalog)
+    for classifier in (table_stub, recurrent):
+        trace = make_trace(order_catalog, ["A", "B", "C"])
+        records = [failure_probability(traverse(trace, classifier, order_model))]
+        bus = Bus()
+        bus.start_instance("t0", classifier, order_model)
+        for event in trace.events:
+            bus.publish(event)
+        assert bus.error_queue == []
+        records += bus.prediction_queue
+        assert len(records) == 4
+        for record in records:
+            for value in (record.p_fail, record.lower, record.upper):
+                assert type(value) is float
+            assert "np.float64" not in repr(record)
+
+
 def test_cyclic_walk_leaves_no_reference_cycles(monkeypatch):
     # The looping model's shared nodes reach themselves; when the step cache
     # drops them they must still be freed by reference counting alone.
@@ -689,7 +710,8 @@ def test_cyclic_walk_leaves_no_reference_cycles(monkeypatch):
 
 class LastStepStub(Classifier):
     """Predicts from the last step alone. The cursor is that step's name,
-    not a tuple, so no node is shared and every path is walked."""
+    so each state has one shared node, while every path through it is
+    walked and counted against the expansion budget."""
 
     def __init__(self, catalog, rows):
         self.catalog = catalog
@@ -874,3 +896,101 @@ def test_concurrent_traversals_share_the_step_cache_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def recurrent_and_frequency(seed, n_states=8):
+    """A random cyclic model and a frequency and a recurrent classifier
+    trained on the same walks through it, with a one-step probe trace for
+    every non-final state."""
+    rng = np.random.default_rng(seed)
+    model = random_cyclic_model(rng, n_states)
+    catalog = make_catalog(sorted(model.states - {FAIL_STATE}))
+    corpus = walk_corpus(rng, model, catalog, 40)
+    frequency = FrequencyModel(catalog, window=3)
+    frequency.train(corpus)
+    recurrent = RecurrentModel(catalog, seed=seed)
+    recurrent.train(corpus[:10])
+    probes = [make_trace(catalog, [s], instance_id="probe")
+              for s in sorted(model.states - model.final_states - {FAIL_STATE})]
+    return model, frequency, recurrent, probes
+
+
+def test_recurrent_nodes_are_shared_across_walks():
+    model, _, recurrent, probes = recurrent_and_frequency(3)
+    limits = TraversalLimits(max_depth=8, min_probability=1e-4)
+    calls = []
+    advance = recurrent.advance
+
+    def counted(cursor, state):
+        calls.append(state)
+        return advance(cursor, state)
+
+    recurrent.advance = counted
+    first = traverse(probes[0], recurrent, model, limits)
+    walked = len(calls)
+    assert walked > 0
+    again = traverse(probes[0], recurrent, model, limits)
+    assert len(calls) == walked  # every child is linked already
+    assert again == first and again.paths == first.paths
+    del recurrent.advance
+    assert first == cold_traverse(probes[0], recurrent, model, limits)
+
+
+def test_concurrent_cold_walks_share_recurrent_and_tuple_nodes_safely():
+    # Four threads walk the same two classifiers, starting together on an
+    # empty cache, so they create and link the same nodes at once.
+    model, frequency, recurrent, probes = recurrent_and_frequency(5, 10)
+    limits = TraversalLimits(max_depth=10, min_probability=1e-5)
+    jobs = [(c, p) for c in (frequency, recurrent) for p in probes]
+    want = [cold_traverse(p, c, model, limits) for c, p in jobs]
+    wrong = []
+
+    def work(shared, offset, start):
+        start.wait()
+        for i in range(len(jobs)):
+            j = (offset + i) % len(jobs)
+            classifier = shared[jobs[j][0] is recurrent]
+            try:
+                got = traverse(jobs[j][1], classifier, model, limits)
+            except Exception as exc:  # a thread's exception would only end it
+                wrong.append((j, repr(exc)))
+                continue
+            if got != want[j] or got.paths != want[j].paths:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = (copy.deepcopy(frequency), copy.deepcopy(recurrent))
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(shared, k, start))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_step_cache_holds_no_objects_the_collector_tracks():
+    # Nodes and links are tuples of atoms and arrays, which a collection
+    # untracks, so a full cache adds nothing to later collections. One
+    # collection may look at a node before the tuples in it and untrack
+    # only those; the next one untracks the node.
+    model, frequency, recurrent, probes = recurrent_and_frequency(7)
+    for classifier in (frequency, recurrent):
+        for probe in probes:
+            traverse(probe, classifier, model)
+    gc.collect()
+    gc.collect()
+    for classifier in (frequency, recurrent):
+        walker = efp.traversal._walkers[classifier]
+        assert len(walker.nodes) > 10 and len(walker.links) > 10
+        for table in (walker.nodes, walker.links):
+            for key, value in table.items():
+                assert not gc.is_tracked(key)
+                assert not gc.is_tracked(value)
