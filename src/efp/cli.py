@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -175,23 +176,23 @@ def cmd_run(args) -> int:
         instance = bus.instances[trace.instance_id]
         stream = streams.get(trace.instance_id, [])
         lines.extend(p.line() for p in stream)
-        if args.report_paths:
-            # The closing event's prediction is certain and has no paths:
-            # report the last one made before it.
-            closing = len(instance.events) - 1 if instance.closed else None
-            open_stream = [p for p in stream if p.at_event_index != closing]
-            if open_stream:
-                lines.append("# paths at last event:")
-                report = format_report(open_stream[-1].top_paths)
-                lines.extend("# " + line for line in report.splitlines())
+        # The closing event's prediction is certain and has no paths: the
+        # path report and the detection only look at predictions before it.
+        closing = len(instance.events) - 1 if instance.closed else None
+        open_stream = [p for p in stream if p.at_event_index != closing]
+        if args.report_paths and open_stream:
+            lines.append("# paths at last event:")
+            report = format_report(open_stream[-1].top_paths)
+            lines.extend("# " + line for line in report.splitlines())
         if instance.label is Outcome.FAIL:
             failures += 1
             detection = next(
-                (p.at_event_index for p in stream if p.p_fail >= config.threshold),
+                (p.at_event_index for p in open_stream
+                 if p.p_fail >= config.threshold),
                 None,
             )
             if detection is not None:
-                lead_times.append(stream[-1].at_event_index - detection)
+                lead_times.append(closing - detection)
 
     out_text = "\n".join(lines) + ("\n" if lines else "")
     summary = [f"# seed {seed}",
@@ -223,6 +224,9 @@ def cmd_evaluate(args) -> int:
         parts = [float(x) for x in args.from_matrix.split(",")]
         if len(parts) != 4:
             raise UsageError("--from-matrix expects tp,fn,fp,tn")
+        if not all(math.isfinite(x) and x >= 0 for x in parts):
+            raise UsageError("--from-matrix counts must be finite and "
+                             "non-negative")
         tp, fn, fp, tn = parts
         cm = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
         precision, recall, mcc = metrics(cm)

@@ -3,13 +3,13 @@ cross validation, and fault-rate/visibility sweeps.
 
 Each held-out trace is classified from a single prediction snapshot: for
 failed traces the snapshot is taken right after the injected error
-manifests, for ended traces at the median intrinsic event. Lead time
-(failure index minus detection index) is reported for failed traces where
-the prediction crossed the threshold before the failure.
+manifests, for ended traces at the median intrinsic event. Lead time is
+not measured here: it belongs to the online prediction stream, and
+``efp run`` reports it.
 
 Within one ``evaluate_split`` call the classifier is frozen, so the call
-keeps one traversal memo: snapshots and lead-time scans that reach the
-same ``(cursor, state)`` share one walk.
+keeps one traversal memo: snapshots that reach the same
+``(cursor, state)`` share one walk.
 """
 
 from __future__ import annotations
@@ -37,13 +37,8 @@ from .traversal import (
     Classification,
     TraversalLimits,
     classify_instance,
-    failure_probability,
-    traverse,
+    traverse,  # unused here, but bench/run.py's traced sweep patches it
 )
-
-# Lead times measured per fold at most: each one traverses every prefix
-# from the error manifestation to the failure.
-MAX_LEAD_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,6 @@ class FoldResult:
     recall: float
     mcc: float
     test_size: int
-    lead_times: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -156,13 +150,6 @@ class MetricReport:
     def sigma(self, metric: str) -> float:
         return self._mean_sigma(metric)[1]
 
-    @property
-    def lead_times(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for fold in self.per_fold:
-            out.extend(fold.lead_times)
-        return tuple(out)
-
     def summary(self) -> str:
         folds = f"folds evaluated: {len(self.per_fold)}" + (
             f" (skipped: {len(self.skipped_folds)})" if self.skipped_folds else ""
@@ -181,12 +168,6 @@ class MetricReport:
             "note: per-fold metric means and pooled-matrix metrics are "
             "different summaries and may differ slightly",
         ]
-        if self.lead_times:
-            leads = np.array(self.lead_times)
-            lines.append(
-                f"lead time (events before failure): mean {leads.mean():.1f}, "
-                f"min {leads.min()}, max {leads.max()}, n {len(leads)}"
-            )
         return "\n".join(lines)
 
 
@@ -217,24 +198,6 @@ def _failure_index(trace: EventTrace) -> int | None:
     for i, e in enumerate(trace.events):
         if e.event_type.kind is EventKind.FAILURE:
             return i
-    return None
-
-
-def _lead_time(trace, classifier, model, limits, threshold, memo) -> int | None:
-    """Events between detection and failure, scanning prediction snapshots
-    from the error manifestation onward."""
-    fail_at = _failure_index(trace)
-    if fail_at is None or trace.error_index is None:
-        return None
-    for i in range(trace.error_index, fail_at):
-        prefix = replace(trace, events=trace.events[: i + 1], error_index=None)
-        if not any(e.is_intrinsic for e in prefix.events):
-            continue
-        estimate = failure_probability(
-            traverse(prefix, classifier, model, limits, memo=memo)
-        )
-        if estimate.p_fail >= threshold:
-            return fail_at - i
     return None
 
 
@@ -269,7 +232,6 @@ def evaluate_split(
     classifier.train(train)
 
     cm = ConfusionMatrix()
-    lead_times: list[int] = []
     memo: dict = {}
     for trace in test:
         prefix = evaluation_prefix(trace)
@@ -284,14 +246,8 @@ def evaluate_split(
             verdict = Classification.PREDICT_END
         actual_fail = trace.outcome_label is Outcome.FAIL
         cm = cm.add(actual_fail, verdict is Classification.PREDICT_FAIL)
-        if actual_fail and len(lead_times) < MAX_LEAD_SAMPLES:
-            lead = _lead_time(
-                trace, classifier, model, config.limits, config.threshold, memo
-            )
-            if lead is not None:
-                lead_times.append(lead)
     precision, recall, mcc = metrics(cm)
-    return FoldResult(cm, precision, recall, mcc, len(test), tuple(lead_times))
+    return FoldResult(cm, precision, recall, mcc, len(test))
 
 
 def cross_validate(

@@ -176,6 +176,18 @@ def test_evaluate_from_matrix(capsys):
     assert "differ" in out  # the two-summaries caveat is documented
 
 
+@pytest.mark.parametrize("counts", ["nan,0,0,1", "inf,0,0,1", "1,0,0,-3",
+                                    "-1,0,0,1", "1,-inf,0,1"])
+def test_evaluate_from_matrix_rejects_non_finite_or_negative_counts(counts,
+                                                                    capsys):
+    assert run_cli("evaluate", f"--from-matrix={counts}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --from-matrix counts must be finite and non-negative\n"
+    )
+
+
 def test_evaluate_sweep_outputs(tmp_path, capsys):
     out_dir = tmp_path / "eval"
     assert run_cli("evaluate", "--spec", "default", "--n", "80",
@@ -349,7 +361,9 @@ def test_run_reports_prediction_errors_on_stderr(training_and_input_logs,
         "frequency model has seen no training trace)\n"
     )
     assert "warning" not in captured.out
-    assert captured.out.endswith("detected 19/19\n")
+    # case-00000 is predicted only at its failure event, which is no
+    # detection.
+    assert captured.out.endswith("detected 18/19\n")
 
 
 def test_run_reports_training_errors_apart(training_and_input_logs,

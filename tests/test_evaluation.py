@@ -6,7 +6,6 @@ import pytest
 import efp.traversal
 from efp.errors import EmptyMatrix, InsufficientData
 from efp.evaluation import (
-    MAX_LEAD_SAMPLES,
     ConfusionMatrix,
     FoldResult,
     PipelineConfig,
@@ -18,7 +17,7 @@ from efp.evaluation import (
     sweep,
     sweep_table,
 )
-from efp.events import FAIL_STATE, EventKind, Outcome, Scenario, catalog_from_traces
+from efp.events import FAIL_STATE, Outcome, Scenario, catalog_from_traces
 from efp.model import mine_model
 from efp.predictors import Classifier, FrequencyModel, Prediction, prediction_outcomes
 from efp.recurrent import RecurrentModel
@@ -159,8 +158,6 @@ def test_cross_validate_deterministic(injected_corpus):
 def test_cross_validate_frequency_classifier_is_accurate(injected_corpus):
     report = cross_validate(injected_corpus, k=3, seed=2)
     assert report.mcc >= 0.9
-    assert report.lead_times  # failures detected before they happen
-    assert all(lead >= 1 for lead in report.lead_times)
 
 
 def test_cross_validate_requires_enough_data():
@@ -283,9 +280,9 @@ def test_global_beats_local_directionally(injected_corpus):
 
 
 def reference_split(train, test, config, catalog):
-    """``evaluate_split`` without a memo: every snapshot and every
-    lead-time prefix gets a traversal of its own. Returns the fold result
-    and every failure estimate, in the order they were made."""
+    """``evaluate_split`` without a memo: every snapshot gets a traversal
+    of its own. Returns the fold result and every failure estimate, in the
+    order they were made."""
     model = mine_model(train)
     classifier = config.classifier_factory(catalog)
     classifier.fit_bins(train)
@@ -301,22 +298,10 @@ def reference_split(train, test, config, catalog):
         return estimates[-1].p_fail >= config.threshold
 
     cm = ConfusionMatrix()
-    lead_times = []
     for trace in test:
         failed = trace.outcome_label is Outcome.FAIL
         cm = cm.add(failed, flagged(evaluation_prefix(trace)))
-        if not failed or len(lead_times) >= MAX_LEAD_SAMPLES:
-            continue
-        fail_at = next((i for i, e in enumerate(trace.events)
-                        if e.event_type.kind is EventKind.FAILURE), None)
-        if fail_at is None or trace.error_index is None:
-            continue
-        for i in range(trace.error_index, fail_at):
-            prefix = replace(trace, events=trace.events[:i + 1], error_index=None)
-            if flagged(prefix):
-                lead_times.append(fail_at - i)
-                break
-    return FoldResult(cm, *metrics(cm), len(test), tuple(lead_times)), estimates
+    return FoldResult(cm, *metrics(cm), len(test)), estimates
 
 
 @pytest.mark.parametrize("config, n_traces", [
@@ -335,10 +320,8 @@ def test_memoized_folds_equal_unmemoized_reference(injected_corpus, config,
         return estimates[-1]
 
     monkeypatch.setattr(efp.traversal, "failure_probability", recording)
-    monkeypatch.setattr(efp.evaluation, "failure_probability", recording)
     corpus = injected_corpus[:n_traces]
     catalog = catalog_from_traces(corpus)
-    lead_times = []
     for fold in range(3):
         test = corpus[fold::3]
         train = [t for i, t in enumerate(corpus) if i % 3 != fold]
@@ -347,8 +330,6 @@ def test_memoized_folds_equal_unmemoized_reference(injected_corpus, config,
         expected, expected_estimates = reference_split(train, test, config, catalog)
         assert result == expected
         assert estimates == expected_estimates
-        lead_times.extend(result.lead_times)
-    assert lead_times
 
 
 class ConstantCursor(Classifier):
@@ -406,7 +387,6 @@ def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch)
         return estimates[-1]
 
     monkeypatch.setattr(efp.traversal, "failure_probability", recording)
-    monkeypatch.setattr(efp.evaluation, "failure_probability", recording)
 
     def trace(names, i, label, error_index=None):
         return replace(make_trace(order_catalog, names, instance_id=f"t{i}",
@@ -417,7 +397,7 @@ def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch)
         trace(["A", "B", "C", "D", "G"], 1, Outcome.END),
         trace(["A", "B", "failure"], 2, Outcome.FAIL),
     ]
-    # Snapshots at A, B and C; the lead-time scans revisit A and B.
+    # Snapshots at A, B and C, one per held-out trace.
     test = (
         [trace(["A", "B", "C", "E"], 10 + i, Outcome.END) for i in range(3)]
         + [trace(["A", "B", "E"], 20 + i, Outcome.END) for i in range(2)]
@@ -439,6 +419,7 @@ def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch)
             result = evaluate_split(train, test, config, order_catalog)
             requested = made[-1].requested
             distinct = list(dict.fromkeys(requested))
+            assert len(requested) == len(test)
             assert len(requested) > len(distinct) > 2
             assert walked == distinct
             assert (result, estimates) == reference_split(
