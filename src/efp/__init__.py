@@ -24,7 +24,7 @@ from .evaluation import (
     sweep,
 )
 from .model import ProcessModel, current_step, mine_model, read_model, write_model
-from .predictors import Classifier, FrequencyModel, Prediction
+from .predictors import Classifier, FrequencyModel
 from .recurrent import RecurrentModel, encode_trace
 from .runtime import Bus, PredictionEvent, replay
 from .synthesis import (

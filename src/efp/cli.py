@@ -227,6 +227,8 @@ def cmd_evaluate(args) -> int:
         if not all(math.isfinite(x) and x >= 0 for x in parts):
             raise UsageError("--from-matrix counts must be finite and "
                              "non-negative")
+        if not any(parts):
+            raise UsageError("--from-matrix counts must not all be zero")
         tp, fn, fp, tn = parts
         cm = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
         precision, recall, mcc = metrics(cm)

@@ -38,7 +38,7 @@ class UnknownEventType(EfpError):
 
 
 class UntrainedModel(EfpError):
-    """Prediction requested from a classifier that has seen no data."""
+    """A prediction requested from a classifier that has seen no data."""
 
 
 class MissingLabel(EfpError):

@@ -2,16 +2,18 @@
 frequency baseline classifier.
 
 A classifier maps an event trace to a probability distribution over the
-possible next steps, with the failure outcome always at index 0. The
-traversal additionally uses an incremental API (``start``/``advance``) so
+possible next steps: a 1-D float array over its ``outcomes``, with the
+failure outcome always at index 0. The traversal uses the incremental API
+(``start``/``advance``, each returning ``(cursor, probs)``) so
 hypothetical continuations do not require rebuilding trace objects.
+``check_distribution`` is the one check of such an array; ``predict`` and
+each new traversal node run it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +29,12 @@ from .events import (
 )
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Distribution over next steps: index 0 is the failure outcome, the
-    remaining indices follow the catalog's step order."""
-
-    probs: np.ndarray
-    outcomes: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.probs) != len(self.outcomes):
-            raise ValueError("probs and outcomes must have equal length")
-        # Written so that NaN fails both comparisons: a NaN or infinite
-        # entry is rejected, not passed on as a distribution.
-        probs = self.probs
-        if not probs.min() >= 0.0 or not abs(float(probs.sum()) - 1.0) <= 1e-9:
-            raise ValueError("prediction must be a probability distribution")
-
-    def prob(self, state: str) -> float:
-        return float(self.probs[self.outcomes.index(state)])
+def check_distribution(probs: list[float], size: int) -> None:
+    """Raise ``ValueError`` unless ``probs`` holds ``size`` non-negative
+    floats summing to 1 within 1e-9. A NaN or infinite entry makes the sum
+    NaN or infinite, which fails the comparison, so it is rejected too."""
+    if len(probs) != size or not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-9):
+        raise ValueError("prediction must be a probability distribution")
 
 
 def prediction_outcomes(catalog: EventCatalog) -> tuple[str, ...]:
@@ -88,12 +77,16 @@ def training_targets(
 class Classifier:
     """Contract every next-step classifier implements.
 
-    ``predict`` is a pure function of (classifier state, trace) and, given
-    a fixed seed and training sequence, bit-reproducible. ``start`` and
-    ``advance`` expose the same distribution incrementally for the
-    traversal: ``start(trace)`` returns an opaque cursor plus the
-    prediction at the trace's end, ``advance(cursor, state)`` appends one
-    hypothetical step.
+    A prediction is a 1-D float array over ``outcomes``, which a
+    classifier fixes when it is built. ``predict`` is a pure function of
+    (classifier state, trace) and, given a fixed seed and training
+    sequence, bit-reproducible. ``start`` and ``advance`` expose the same
+    distribution incrementally for the traversal: ``start(trace)`` returns
+    ``(cursor, probs)``, an opaque cursor plus the prediction at the
+    trace's end, and ``advance(cursor, state)`` returns the same pair for
+    one more hypothetical step. Neither checks ``probs``: ``predict``
+    checks what it returns, and the traversal checks each new node's
+    prediction once (``check_distribution``).
 
     ``version`` counts the classifier's changes: every mutator
     (``train_online``, ``fit_bins``, and any other method that changes what
@@ -109,10 +102,13 @@ class Classifier:
     """
 
     catalog: EventCatalog
+    outcomes: tuple[str, ...]
     version: int = 0
 
-    def predict(self, trace: EventTrace) -> Prediction:
-        return self.start(trace)[1]
+    def predict(self, trace: EventTrace) -> np.ndarray:
+        probs = self.start(trace)[1]
+        check_distribution(probs.tolist(), len(self.outcomes))
+        return probs
 
     def start(self, trace: EventTrace):
         raise NotImplementedError
@@ -163,7 +159,7 @@ class FrequencyModel(Classifier):
         self.bin_ranges: dict[tuple[str, int], tuple[float, float]] = {}
         # predictions are pure functions of the counts; cache per context
         # and invalidate on training
-        self._prediction_cache: dict[tuple, Prediction] = {}
+        self._prediction_cache: dict[tuple, np.ndarray] = {}
 
     # -- tokenization -----------------------------------------------------
 
@@ -263,7 +259,7 @@ class FrequencyModel(Classifier):
         nxt = (cursor + ((state,),))[-self.window:]
         return nxt, self._predict_context(nxt)
 
-    def _predict_context(self, context: tuple) -> Prediction:
+    def _predict_context(self, context: tuple) -> np.ndarray:
         cached = self._prediction_cache.get(context)
         if cached is not None:
             return cached
@@ -271,6 +267,6 @@ class FrequencyModel(Classifier):
         if counts is None:
             counts = np.zeros(len(self.outcomes))
         total = float(counts.sum()) + self.alpha * len(self.outcomes)
-        prediction = Prediction((counts + self.alpha) / total, self.outcomes)
-        self._prediction_cache[context] = prediction
-        return prediction
+        probs = (counts + self.alpha) / total
+        self._prediction_cache[context] = probs
+        return probs

@@ -16,12 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownEventType
 from .events import FAIL_STATE, EventCatalog, EventTrace, FieldKind
-from .predictors import (
-    Classifier,
-    Prediction,
-    prediction_outcomes,
-    training_targets,
-)
+from .predictors import Classifier, prediction_outcomes, training_targets
 
 HIDDEN_SIZE = 32
 LEARNING_RATE = 0.05
@@ -106,15 +101,11 @@ class RecurrentModel(Classifier):
     def _step(self, hidden: np.ndarray, row: np.ndarray) -> np.ndarray:
         return np.tanh(self.w_in @ row + self.w_rec @ hidden + self.b_rec)
 
-    def _readout(self, hidden: np.ndarray) -> Prediction:
-        probs = _softmax(self.w_out @ hidden + self.b_out)
-        return Prediction(probs, self.outcomes)
-
     def start(self, trace: EventTrace):
         self._check(trace)
         rows = encode_trace(trace, self.catalog)
         hidden = self._forward_rows(rows[-MAX_SEQUENCE:])[-1]
-        return hidden, self._readout(hidden)
+        return hidden, _softmax(self.w_out @ hidden + self.b_out)
 
     def advance(self, cursor, state: str):
         column = self._columns.get(state)
@@ -123,7 +114,7 @@ class RecurrentModel(Classifier):
         # Same operand order as ``_step``; ``w_in`` is read at call time
         # because training updates it in place.
         hidden = np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
-        return hidden, self._readout(hidden)
+        return hidden, _softmax(self.w_out @ hidden + self.b_out)
 
     # -- training -------------------------------------------------------------
 

@@ -5,8 +5,8 @@ The bus is a deterministic stand-in for a message broker: publishers
 append to per-instance bounded queues, and each queue has one consumer,
 the instance's ``EfpInstance``, which sees every event exactly once in
 publish order. Events published before ``start_instance`` wait in their
-queue and are delivered when the instance starts. Prediction events land
-on a shared outgoing queue. Publishing is thread-safe; each instance's
+queue and are delivered when the instance starts. ``PredictionEvent``s
+land on a shared outgoing queue. Publishing is thread-safe; each instance's
 events are dispatched strictly sequentially.
 """
 

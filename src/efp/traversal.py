@@ -22,7 +22,7 @@ import numpy as np
 
 from .events import FAIL_STATE, EventTrace, Outcome
 from .model import ProcessModel, current_step
-from .predictors import Classifier
+from .predictors import Classifier, check_distribution
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,19 @@ class _Walker:
     thread has just replaced. Threads agree on a node by
     ``dict.setdefault``. With its links, a node takes about 0.55 KB for a
     window-3 frequency model and 0.86 KB for a 32-unit recurrent model.
-    The walker holds no reference to its classifier."""
+    The walker holds no reference to its classifier: it keeps the
+    ``version`` and the fixed ``outcomes`` it was built for."""
 
-    def __init__(self, version: int, model: ProcessModel):
-        self.version = version
+    def __init__(self, classifier: Classifier, model: ProcessModel):
+        self.version = classifier.version
+        self.outcomes = classifier.outcomes
         self.model = model
         self.nodes: dict = {}
         self.links: dict = {}
         self._slots = itertools.count()
         self._slot_cache: dict = {}
 
-    def slots(self, outcomes, state: str):
+    def slots(self, state: str):
         """The state's feasible successors as ``(index, name)`` slots of
         the classifier's outcomes, in outcome order, plus the feasible set
         itself for the zero-mass fallback. A classifier's outcomes are
@@ -181,17 +183,20 @@ class _Walker:
             else:
                 # State never seen during mining: the model cannot constrain
                 # the continuation, so every predicted outcome stays in play.
-                feasible = set(outcomes)
-            slots = [(i, name) for i, name in enumerate(outcomes) if name in feasible]
+                feasible = set(self.outcomes)
+            slots = [(i, name) for i, name in enumerate(self.outcomes)
+                     if name in feasible]
             cached = slots, feasible
             self._slot_cache[state] = cached
         return cached
 
-    def candidates(self, prediction, state: str):
+    def candidates(self, probs, state: str):
         """Feasible successors with renormalized probabilities as Python
-        floats, most likely first; ties broken by state identifier."""
-        slots, feasible = self.slots(prediction.outcomes, state)
-        probs = prediction.probs.tolist()
+        floats, most likely first; ties broken by state identifier. Each
+        node's prediction is checked here, once, before the node is kept."""
+        probs = probs.tolist()
+        check_distribution(probs, len(self.outcomes))
+        slots, feasible = self.slots(state)
         entries = [(name, p) for i, name in slots if (p := probs[i]) > 0.0]
         total = 0.0  # as ``_plain_sum``, without a generator per node
         for _, p in entries:
@@ -207,11 +212,11 @@ class _Walker:
         entries.sort(key=lambda item: (-item[1], item[0]))
         return entries
 
-    def node(self, cursor, prediction, state: str):
+    def node(self, cursor, probs, state: str):
         key = _key(cursor, state)
         node = self.nodes.get(key)
         if node is None:
-            entries = self.candidates(prediction, state)
+            entries = self.candidates(probs, state)
             if isinstance(cursor, np.ndarray):
                 cursor = np.ndarray(cursor.shape, cursor.dtype, key[0])
             names, probs = zip(*entries) if entries else ((), ())
@@ -220,7 +225,7 @@ class _Walker:
             )
         return node
 
-    def walk(self, advance, cursor, prediction, state: str,
+    def walk(self, advance, cursor, probs, state: str,
              limits: TraversalLimits):
         """Depth first from the current state on an explicit stack of
         ``(ranked children left, node, probability, link, depth)`` frames:
@@ -236,7 +241,7 @@ class _Walker:
         leaves = []
         pruned = 0.0
         budget = MAX_EXPANSIONS
-        root = self.node(cursor, prediction, state)
+        root = self.node(cursor, probs, state)
         stack = [(zip(itertools.count(), root[2], root[3]), root, 1.0, None, 1)]
         while stack:
             ranked, node, p_curr, link, depth = stack[-1]
@@ -281,7 +286,7 @@ def _walker(classifier, model) -> _Walker:
     walker = _walkers.get(classifier)
     if (walker is None or walker.version != classifier.version
             or walker.model is not model):
-        walker = _walkers[classifier] = _Walker(classifier.version, model)
+        walker = _walkers[classifier] = _Walker(classifier, model)
     return walker
 
 
@@ -305,6 +310,8 @@ def traverse(
     ``NODE_CAP`` nodes drops it, and it is freed with the classifier: the
     cache holds classifiers weakly. A node takes about 0.55 KB for a
     window-3 frequency model and 0.86 KB for a 32-unit recurrent model.
+    A prediction that fails ``check_distribution`` raises ``ValueError``
+    when its node would be made, and that node is not kept.
 
     ``memo`` is a dict the caller owns for a run of traversals with one
     model, one set of limits and one classifier that is not trained in
@@ -314,14 +321,14 @@ def traverse(
     state = current_step(trace)
     if state in model.final_states:
         return TraversalResult(0.0, 0.0, already_final=True, final_state=state)
-    cursor, prediction = classifier.start(trace)
+    cursor, probs = classifier.start(trace)
     key = _key(cursor, state)
     if memo is not None and key in memo:
         return memo[key]
     walker = _walker(classifier, model)
     try:
         leaves, pruned = walker.walk(
-            classifier.advance, cursor, prediction, state, limits
+            classifier.advance, cursor, probs, state, limits
         )
     finally:
         # Past the cap the classifier's cache is dropped; if another thread

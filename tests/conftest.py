@@ -18,7 +18,7 @@ from efp.events import (
     Visibility,
 )
 from efp.model import ProcessModel
-from efp.predictors import Classifier, Prediction, prediction_outcomes
+from efp.predictors import Classifier, prediction_outcomes
 from efp.recurrent import _PARAM_NAMES
 
 
@@ -68,7 +68,7 @@ class StubClassifier(Classifier):
         else:
             for name, p in row.items():
                 probs[self.outcomes.index(name)] = p
-        return Prediction(probs, self.outcomes)
+        return probs
 
     def start(self, trace):
         states = trace.states

@@ -234,8 +234,8 @@ def test_criterion_08_classifier_contracts():
             names = ["A"] + ["BCD"[int(rng.integers(0, 3))]
                              for _ in range(int(rng.integers(0, 5)))]
             pred = classifier.predict(make_trace(catalog, names))
-            assert np.all(pred.probs >= 0)
-            assert abs(float(pred.probs.sum()) - 1.0) <= 1e-9
+            assert np.all(pred >= 0)
+            assert abs(float(pred.sum()) - 1.0) <= 1e-9
 
     # analytic gradients vs central differences on a 3-state toy
     toy = make_catalog(["A", "B", "C"])

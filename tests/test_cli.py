@@ -188,6 +188,17 @@ def test_evaluate_from_matrix_rejects_non_finite_or_negative_counts(counts,
     )
 
 
+def test_evaluate_from_matrix_rejects_an_empty_matrix(monkeypatch, capsys):
+    def no_metrics(cm):
+        raise AssertionError("metrics ran")
+
+    monkeypatch.setattr("efp.cli.metrics", no_metrics)
+    assert run_cli("evaluate", "--from-matrix", "0,0,0,0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --from-matrix counts must not all be zero\n"
+
+
 def test_evaluate_sweep_outputs(tmp_path, capsys):
     out_dir = tmp_path / "eval"
     assert run_cli("evaluate", "--spec", "default", "--n", "80",

@@ -19,7 +19,7 @@ from efp.evaluation import (
 )
 from efp.events import FAIL_STATE, Outcome, Scenario, catalog_from_traces
 from efp.model import mine_model
-from efp.predictors import Classifier, FrequencyModel, Prediction, prediction_outcomes
+from efp.predictors import Classifier, FrequencyModel, prediction_outcomes
 from efp.recurrent import RecurrentModel
 from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 from efp.traversal import failure_probability, traverse
@@ -96,7 +96,7 @@ class MarkerOracle(Classifier):
             probs[0] = 1.0
         else:
             probs[1:] = 1.0 / (len(self.outcomes) - 1)
-        return Prediction(probs, self.outcomes)
+        return probs
 
     def start(self, trace):
         marker = any(self._seen(e) for e in trace.events)
@@ -340,9 +340,7 @@ class ConstantCursor(Classifier):
     def __init__(self, catalog):
         self.catalog = catalog
         self.outcomes = prediction_outcomes(catalog)
-        self.prediction = Prediction(
-            np.full(len(self.outcomes), 1.0 / len(self.outcomes)), self.outcomes
-        )
+        self.prediction = np.full(len(self.outcomes), 1.0 / len(self.outcomes))
         self.requested = []
 
     def start(self, trace):

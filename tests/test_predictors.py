@@ -5,7 +5,6 @@ from efp.errors import MissingLabel, UnknownEventType, UntrainedModel
 from efp.events import FAIL_STATE, FieldKind, Outcome, catalog_from_traces
 from efp.predictors import (
     FrequencyModel,
-    Prediction,
     prediction_outcomes,
     training_targets,
 )
@@ -109,14 +108,6 @@ def test_training_pairs_require_label(small_catalog):
         training_targets(make_trace(small_catalog, ["A", "B"]), small_catalog)
 
 
-@pytest.mark.parametrize("probs", [
-    [np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf],
-])
-def test_prediction_rejects_nan_and_infinity(probs):
-    with pytest.raises(ValueError):
-        Prediction(np.array(probs), ("a", "b"))
-
-
 def test_untrained_frequency_model_raises(small_catalog):
     model = FrequencyModel(small_catalog)
     with pytest.raises(UntrainedModel):
@@ -140,12 +131,13 @@ def test_frequency_matches_hand_computed_counts():
     ]
     model.train(corpus)
     pred = model.predict(make_trace(catalog, ["A", "B"]))
+    at = model.outcomes.index
     # context (A, B): C seen 6x, D seen 3x, fail 1x; outcomes = 5 classes
     total = 10 + 1.0 * 5
-    assert pred.prob("C") == pytest.approx(7 / total, abs=1e-12)
-    assert pred.prob("D") == pytest.approx(4 / total, abs=1e-12)
-    assert pred.prob(FAIL_STATE) == pytest.approx(2 / total, abs=1e-12)
-    assert pred.prob("A") == pytest.approx(1 / total, abs=1e-12)
+    assert pred[at("C")] == pytest.approx(7 / total, abs=1e-12)
+    assert pred[at("D")] == pytest.approx(4 / total, abs=1e-12)
+    assert pred[at(FAIL_STATE)] == pytest.approx(2 / total, abs=1e-12)
+    assert pred[at("A")] == pytest.approx(1 / total, abs=1e-12)
 
 
 def test_frequency_modal_continuation_wins(small_catalog):
@@ -157,7 +149,7 @@ def test_frequency_modal_continuation_wins(small_catalog):
     ]
     model.train(corpus)
     pred = model.predict(make_trace(small_catalog, ["A", "B", "A"]))
-    assert pred.prob("B") == max(pred.probs)
+    assert pred[model.outcomes.index("B")] == max(pred)
 
 
 def test_frequency_window_zero_is_unconditional():
@@ -170,8 +162,8 @@ def test_frequency_window_zero_is_unconditional():
     # targets: B once, C twice; 4 outcome classes
     pred = model.predict(make_trace(catalog, ["A"]))
     total = 3 + 0.5 * 4
-    assert pred.prob("C") == pytest.approx(2.5 / total, abs=1e-12)
-    assert pred.prob("B") == pytest.approx(1.5 / total, abs=1e-12)
+    assert pred[model.outcomes.index("C")] == pytest.approx(2.5 / total, abs=1e-12)
+    assert pred[model.outcomes.index("B")] == pytest.approx(1.5 / total, abs=1e-12)
 
 
 def test_frequency_online_equals_batch():
@@ -215,18 +207,20 @@ def test_frequency_payload_bins_shift_context():
                                     payloads={"temp": (20.5,)}))
     burning = model.predict(make_trace(catalog, ["go", "temp"],
                                        payloads={"temp": (34.5,)}))
-    assert cool.prob("go") > cool.prob(FAIL_STATE)
-    assert burning.prob(FAIL_STATE) > burning.prob("go")
+    go, fail = model.outcomes.index("go"), model.outcomes.index(FAIL_STATE)
+    assert cool[go] > cool[fail]
+    assert burning[fail] > burning[go]
 
 
 def test_frequency_prediction_is_valid_distribution(small_catalog):
     model = FrequencyModel(small_catalog)
     model.train([make_trace(small_catalog, ["A", "B"], label=Outcome.END)])
     pred = model.predict(make_trace(small_catalog, ["A"]))
-    assert np.all(pred.probs >= 0)
-    assert abs(pred.probs.sum() - 1.0) < 1e-9
-    assert pred.outcomes == prediction_outcomes(small_catalog)
-    assert pred.outcomes[0] == FAIL_STATE
+    assert pred.shape == (len(model.outcomes),)
+    assert np.all(pred >= 0)
+    assert abs(pred.sum() - 1.0) < 1e-9
+    assert model.outcomes == prediction_outcomes(small_catalog)
+    assert model.outcomes[0] == FAIL_STATE
 
 
 NAN, INF = float("nan"), float("inf")
@@ -255,7 +249,7 @@ def test_non_finite_readings_bin_without_error(small_catalog):
         probe = make_trace(small_catalog, ["A", "C_temp"],
                            payloads={"C_temp": (reading,)})
         prediction = model.start(probe)[1]
-        assert prediction.prob("B") > prediction.prob(FAIL_STATE)
+        assert prediction[b] > prediction[model.outcomes.index(FAIL_STATE)]
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -5,7 +5,7 @@ import pytest
 
 from efp.errors import DimensionMismatch, UnknownEventType
 from efp.events import FAIL_STATE, Event, EventTrace, FieldKind, Outcome
-from efp.recurrent import MAX_SEQUENCE, RecurrentModel, encode_trace
+from efp.recurrent import MAX_SEQUENCE, RecurrentModel, _softmax, encode_trace
 
 from conftest import (
     flatten_grads,
@@ -24,8 +24,8 @@ def toy_catalog():
 def test_untrained_model_emits_valid_distribution(toy_catalog):
     model = RecurrentModel(toy_catalog, seed=1)
     pred = model.predict(make_trace(toy_catalog, ["A", "B"]))
-    assert np.all(pred.probs >= 0)
-    assert abs(pred.probs.sum() - 1.0) < 1e-9
+    assert np.all(pred >= 0)
+    assert abs(pred.sum() - 1.0) < 1e-9
 
 
 def test_same_seed_same_training_is_bit_identical(toy_catalog):
@@ -39,14 +39,14 @@ def test_same_seed_same_training_is_bit_identical(toy_catalog):
     for _ in range(2):
         model = RecurrentModel(toy_catalog, seed=42)
         model.train(corpus)
-        outs.append(model.predict(probe).probs)
+        outs.append(model.predict(probe))
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_different_seeds_differ(toy_catalog):
     probe = make_trace(toy_catalog, ["A", "B"])
-    a = RecurrentModel(toy_catalog, seed=1).predict(probe).probs
-    b = RecurrentModel(toy_catalog, seed=2).predict(probe).probs
+    a = RecurrentModel(toy_catalog, seed=1).predict(probe)
+    b = RecurrentModel(toy_catalog, seed=2).predict(probe)
     assert not np.array_equal(a, b)
 
 
@@ -60,7 +60,7 @@ def test_converges_on_deterministic_corpus(toy_catalog):
     for _ in range(30):
         model.train(corpus)
     pred = model.predict(make_trace(toy_catalog, ["A", "B"]))
-    assert pred.prob("C") >= 0.9
+    assert pred[model.outcomes.index("C")] >= 0.9
 
 
 def test_gradient_check_against_finite_differences(toy_catalog):
@@ -97,7 +97,7 @@ def test_advance_matches_full_forward(toy_catalog):
     cursor, _ = model.start(trace)
     _, incremental = model.advance(cursor, "C")
     full = model.predict(make_trace(toy_catalog, ["A", "B", "C"]))
-    assert np.allclose(incremental.probs, full.probs, atol=1e-12)
+    assert np.allclose(incremental, full, atol=1e-12)
 
 
 def test_dimension_mismatch_detected(toy_catalog):
@@ -133,7 +133,7 @@ def test_fail_slot_learnable(toy_catalog):
     for _ in range(30):
         model.train(corpus)
     pred = model.predict(make_trace(toy_catalog, ["A", "B"]))
-    assert pred.prob(FAIL_STATE) >= 0.9
+    assert pred[model.outcomes.index(FAIL_STATE)] >= 0.9
 
 
 # -- a hypothetical step is one column of w_in --------------------------------
@@ -164,7 +164,8 @@ def _assert_advance_is_full_step(model):
         row = _onehot_step(model, state)
         expected = np.tanh(model.w_in @ row + model.w_rec @ cursor + model.b_rec)
         assert np.array_equal(hidden, expected), state
-        assert np.array_equal(prediction.probs, model._readout(expected).probs)
+        assert np.array_equal(
+            prediction, _softmax(model.w_out @ expected + model.b_out))
 
 
 def test_advance_equals_onehot_step_as_weights_change(payload_catalog):
@@ -239,7 +240,7 @@ def test_start_and_train_online_are_pinned_bit_for_bit(payload_catalog):
         for trace in traces:
             hidden, prediction = model.start(trace)
             h.update(_float_hex(hidden))
-            h.update(_float_hex(prediction.probs))
+            h.update(_float_hex(prediction))
         return h.hexdigest()
 
     untrained = start_digest()

@@ -6,7 +6,7 @@ import pytest
 from efp.errors import DuplicateInstance
 from efp.events import FAIL_STATE, Event, Outcome
 from efp.model import ProcessModel, mine_model
-from efp.predictors import FrequencyModel, Prediction
+from efp.predictors import FrequencyModel
 from efp.runtime import Bus, replay
 from efp.traversal import TraversalLimits
 
@@ -221,7 +221,7 @@ def test_diverged_classifier_publishes_error_not_fallback(order_catalog,
         """Every prediction is NaN, as from a model whose weights blew up."""
 
         def _prediction(self, states):
-            return Prediction(np.full(len(self.outcomes), np.nan), self.outcomes)
+            return np.full(len(self.outcomes), np.nan)
 
     bus = Bus()
     bus.start_instance("i1", Diverged(order_catalog, {}), model)

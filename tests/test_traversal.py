@@ -14,7 +14,6 @@ from efp.model import ProcessModel, current_step
 from efp.predictors import (
     Classifier,
     FrequencyModel,
-    Prediction,
     prediction_outcomes,
 )
 from efp.recurrent import RecurrentModel
@@ -55,10 +54,11 @@ def enumerate_outcomes(trace, classifier, model, catalog):
             EventTrace(events[0].global_instance_id, events)
         )
         feasible = model.successors(state)
+        at = classifier.outcomes.index
         entries = [
-            (name, pred.prob(name))
+            (name, pred[at(name)])
             for name in sorted(feasible)
-            if pred.prob(name) > 0.0
+            if pred[at(name)] > 0.0
         ]
         total = sum(q for _, q in entries)
         for name, q in entries:
@@ -363,17 +363,17 @@ def test_equal_probabilities_tie_break_lexicographic(order_catalog,
 # -- feasible successor slots ---------------------------------------------------
 
 
-def reference_candidates(prediction, model, state):
+def reference_candidates(prediction, outcomes, model, state):
     """The candidate rule written out plainly: filter every outcome by the
     model, renormalize, fall back to a uniform split over the feasible set
     when no feasible outcome has mass, sort by (-p, name)."""
     if state in model.states:
         feasible = model.successors(state)
     else:
-        feasible = set(prediction.outcomes)
+        feasible = set(outcomes)
     entries = [
         (name, p)
-        for name, p in zip(prediction.outcomes, prediction.probs)
+        for name, p in zip(outcomes, prediction)
         if name in feasible and p > 0.0
     ]
     total = sum(p for _, p in entries)
@@ -396,7 +396,8 @@ def checked_walker(monkeypatch):
     class CheckedWalker(efp.traversal._Walker):
         def candidates(self, prediction, state):
             got = super().candidates(prediction, state)
-            assert got == reference_candidates(prediction, self.model, state)
+            assert got == reference_candidates(
+                prediction, self.outcomes, self.model, state)
             checked.append(state)
             return got
 
@@ -468,6 +469,66 @@ def test_candidates_equal_reference_rule(order_catalog, order_model,
     assert len(checked_walker) > 100
 
 
+# -- the distribution check, once per new node ----------------------------------
+
+
+def _spoiled(n, how):
+    """A uniform distribution over ``n`` outcomes, spoiled one way."""
+    probs = np.full(n, 1.0 / n)
+    if how == "nan":
+        probs[0] = np.nan
+    elif how == "+inf":
+        probs[1] = np.inf
+    elif how == "-inf":
+        probs[1] = -np.inf
+    elif how == "negative":
+        probs[1] += probs[0] + 0.25  # still sums to 1
+        probs[0] = -0.25
+    elif how == "half":
+        probs *= 0.5
+    elif how == "length":
+        probs = np.full(n + 1, 1.0 / (n + 1))
+    return probs
+
+
+class SpoiledAt(StubClassifier):
+    """A uniform stub whose prediction after the state sequence ``at`` is
+    spoiled; counts the calls that return it."""
+
+    def __init__(self, catalog, at, how):
+        super().__init__(catalog, {})
+        self.at, self.how, self.served = at, how, 0
+
+    def _prediction(self, states):
+        if states != self.at:
+            return super()._prediction(states)
+        self.served += 1
+        return _spoiled(len(self.outcomes), self.how)
+
+
+@pytest.mark.parametrize("how", ["nan", "+inf", "-inf", "negative", "half", "length"])
+@pytest.mark.parametrize("at", [("A", "B"), ("A", "B", "C")],
+                         ids=["start", "advance"])
+def test_a_bad_distribution_raises_and_its_node_is_not_kept(
+        order_catalog, order_model, how, at):
+    stub = SpoiledAt(order_catalog, at, how)
+    trace = make_trace(order_catalog, ["A", "B"])
+    for served in (1, 2):
+        with pytest.raises(ValueError,
+                           match="prediction must be a probability distribution"):
+            traverse(trace, stub, order_model)
+        # Raising again shows the node was not kept: a kept node skips the
+        # check, and at a hypothetical step the ``advance`` call too.
+        assert stub.served == served
+    assert (at, at[-1]) not in efp.traversal._walkers[stub].nodes
+    if at == ("A", "B"):
+        with pytest.raises(ValueError,
+                           match="prediction must be a probability distribution"):
+            stub.predict(trace)
+    else:
+        assert stub.predict(trace).sum() == pytest.approx(1.0)
+
+
 # -- exact equivalence with the recursive walk ----------------------------------
 
 
@@ -483,7 +544,8 @@ def reference_traverse(trace, classifier, model, limits):
     def expand(cursor, prediction, state, suffix, probs, p_curr):
         nonlocal pruned
         depth = len(suffix) + 1
-        ranked = reference_candidates(prediction, model, state)
+        ranked = reference_candidates(
+            prediction, classifier.outcomes, model, state)
         for rank, (name, p) in enumerate(ranked):
             p_child = p_curr * p
             if p_child <= 0.0:
@@ -717,9 +779,7 @@ class LastStepStub(Classifier):
         self.catalog = catalog
         self.outcomes = prediction_outcomes(catalog)
         self.predictions = {
-            state: Prediction(
-                np.array([row.get(name, 0.0) for name in self.outcomes]),
-                self.outcomes)
+            state: np.array([row.get(name, 0.0) for name in self.outcomes])
             for state, row in rows.items()
         }
 
@@ -775,9 +835,10 @@ def test_frequency_oracle_lies_in_the_interval_under_the_budget():
     for s in states:
         prediction = classifier.predict(make_trace(catalog, [s]))
         feasible = model.successors(s)
-        total = sum(prediction.prob(o) for o in feasible)
+        at = classifier.outcomes.index
+        total = sum(prediction[at(o)] for o in feasible)
         for o in feasible:
-            p = prediction.prob(o) / total
+            p = prediction[at(o)] / total
             if o == FAIL_STATE:
                 r[index[s]] += p
             elif o in index:
