@@ -221,7 +221,13 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     seed = _effective_seed(args)
     if args.from_matrix:
-        parts = [float(x) for x in args.from_matrix.split(",")]
+        parts = []
+        for token in args.from_matrix.split(","):
+            try:
+                parts.append(float(token))
+            except ValueError:
+                raise UsageError("--from-matrix expects tp,fn,fp,tn numbers, "
+                                 f"got {token!r}") from None
         if len(parts) != 4:
             raise UsageError("--from-matrix expects tp,fn,fp,tn")
         if not all(math.isfinite(x) and x >= 0 for x in parts):

@@ -6,6 +6,12 @@ Each event enters the network as one input row: a one-hot over the
 catalog's types, then the event's payload padded to the catalog's widest
 schema. Everything is float64 numpy and deterministic under a fixed seed,
 which keeps the analytic gradients checkable against finite differences.
+
+Training batches its numpy calls but keeps the float order of a plain
+per-step loop, so its bits do not change: the input terms of a prefix
+come from a stacked matmul that runs one gemv per row, and the gradient
+terms are summed over steps in the loop's reversed order. No gemm is
+used; its bits differ from gemv's.
 """
 
 from __future__ import annotations
@@ -59,9 +65,22 @@ def encode_trace(trace: EventTrace, catalog: EventCatalog) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    """Softmax of a fresh logits array, computed in place and returned;
+    the same operations as ``exp(x - max) / sum``, so the same bits."""
+    logits -= np.maximum.reduce(logits)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits)
+    return logits
+
+
+def _sum_steps(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of stacked per-step terms, from a +0.0 start.
+
+    A reduction over the outer axis of a contiguous array adds the terms
+    one at a time in stack order, neither pairing nor reordering them, so
+    the bits are those of a ``+=`` loop over the steps onto zeros; from
+    +0.0 the sign of a zero term never shows."""
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 class RecurrentModel(Classifier):
@@ -98,9 +117,6 @@ class RecurrentModel(Classifier):
                     "catalog this model was initialized with"
                 )
 
-    def _step(self, hidden: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return np.tanh(self.w_in @ row + self.w_rec @ hidden + self.b_rec)
-
     def start(self, trace: EventTrace):
         self._check(trace)
         rows = encode_trace(trace, self.catalog)
@@ -111,43 +127,60 @@ class RecurrentModel(Classifier):
         column = self._columns.get(state)
         if column is None:
             raise UnknownEventType(f"state {state!r} not in catalog")
-        # Same operand order as ``_step``; ``w_in`` is read at call time
-        # because training updates it in place.
+        # Same operand order as a step of ``_forward_rows``; ``w_in`` is read
+        # at call time because training updates it in place.
         hidden = np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
         return hidden, _softmax(self.w_out @ hidden + self.b_out)
 
     # -- training -------------------------------------------------------------
 
-    def _forward_rows(self, rows: np.ndarray):
-        hiddens = [np.zeros(self.hidden_size)]
-        for row in rows:
-            hiddens.append(self._step(hiddens[-1], row))
+    def _forward_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Hidden states ``h_0 .. h_n`` of a prefix, one per row; ``h_0`` is
+        zero.
+
+        Each step is ``tanh(w_in @ row + w_rec @ h + b_rec)``. The input
+        terms come from one stacked matmul, which runs the gemv of
+        ``w_in @ row`` once per row; ``rows @ w_in.T`` would be a gemm,
+        whose bits differ.
+        """
+        inputs = np.matmul(self.w_in, rows[:, :, None])[:, :, 0]
+        hiddens = np.zeros((len(rows) + 1, self.hidden_size))
+        for t, x in enumerate(inputs):
+            np.tanh(x + self.w_rec @ hiddens[t] + self.b_rec, out=hiddens[t + 1])
         return hiddens
 
     def loss_and_grads(self, rows: np.ndarray, target: int):
         """Cross-entropy loss of one (prefix, next step) pair and its
         gradients with respect to every parameter; ``rows`` holds the
-        prefix's encoded events, one per row."""
+        prefix's encoded events, one per row.
+
+        Backpropagation through time keeps only ``dz`` and the gemv that
+        carries ``d_hidden`` back in its loop, from the last step to the
+        first. The steps' outer products are then built at once (an
+        ``einsum`` with no summed index: one product per entry) and
+        ``_sum_steps`` adds them in that same order, so every gradient has
+        the bits of a per-step ``+=``.
+        """
         hiddens = self._forward_rows(rows)
         probs = _softmax(self.w_out @ hiddens[-1] + self.b_out)
         loss = -np.log(max(probs[target], 1e-300))
 
         d_logits = probs.copy()
         d_logits[target] -= 1.0
+        gates = 1.0 - hiddens[:0:-1] ** 2  # steps n-1 .. 0
+        dzs = np.empty_like(gates)
+        d_hidden = self.w_out.T @ d_logits
+        w_rec_t = self.w_rec.T
+        for gate, dz in zip(gates, dzs):
+            np.multiply(gate, d_hidden, out=dz)
+            d_hidden = w_rec_t @ dz
         grads = {
             "w_out": np.outer(d_logits, hiddens[-1]),
             "b_out": d_logits.copy(),
-            "w_in": np.zeros_like(self.w_in),
-            "w_rec": np.zeros_like(self.w_rec),
-            "b_rec": np.zeros_like(self.b_rec),
+            "w_in": _sum_steps(np.einsum("ti,tj->tij", dzs, rows[::-1])),
+            "w_rec": _sum_steps(np.einsum("ti,tj->tij", dzs, hiddens[-2::-1])),
+            "b_rec": _sum_steps(dzs),
         }
-        d_hidden = self.w_out.T @ d_logits
-        for t in range(len(rows) - 1, -1, -1):
-            dz = (1.0 - hiddens[t + 1] ** 2) * d_hidden
-            grads["w_in"] += np.outer(dz, rows[t])
-            grads["w_rec"] += np.outer(dz, hiddens[t])
-            grads["b_rec"] += dz
-            d_hidden = self.w_rec.T @ dz
         return loss, grads
 
     def train_online(self, trace: EventTrace) -> None:

@@ -188,6 +188,17 @@ def test_evaluate_from_matrix_rejects_non_finite_or_negative_counts(counts,
     )
 
 
+@pytest.mark.parametrize("counts,token", [("1,x,0,1", "x"), ("1,0,,1", ""),
+                                          ("1,0,0,1,two", "two")])
+def test_evaluate_from_matrix_names_a_non_numeric_count(counts, token, capsys):
+    assert run_cli("evaluate", f"--from-matrix={counts}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --from-matrix expects tp,fn,fp,tn numbers, got {token!r}\n"
+    )
+
+
 def test_evaluate_from_matrix_rejects_an_empty_matrix(monkeypatch, capsys):
     def no_metrics(cm):
         raise AssertionError("metrics ran")

@@ -253,3 +253,105 @@ def test_start_and_train_online_are_pinned_bit_for_bit(payload_catalog):
         "2fe95a3eed943562a4e32894a67fcd404b2b04b72f67b06fe28069f7251d3e29",
         "7d005c718f860e6adb2d9d190376df7bb8a3f030cd03e51ac4ec3adf36bf4bbd",
     )
+
+
+# -- exact oracle: the per-step loops that the batched passes replace ---------
+
+
+def _reference_softmax(logits):
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def _reference_forward(model, rows):
+    hiddens = [np.zeros(model.hidden_size)]
+    for row in rows:
+        hiddens.append(np.tanh(
+            model.w_in @ row + model.w_rec @ hiddens[-1] + model.b_rec))
+    return hiddens
+
+
+def _reference_loss_and_grads(model, rows, target):
+    hiddens = _reference_forward(model, rows)
+    probs = _reference_softmax(model.w_out @ hiddens[-1] + model.b_out)
+    loss = -np.log(max(probs[target], 1e-300))
+
+    d_logits = probs.copy()
+    d_logits[target] -= 1.0
+    grads = {
+        "w_out": np.outer(d_logits, hiddens[-1]),
+        "b_out": d_logits.copy(),
+        "w_in": np.zeros_like(model.w_in),
+        "w_rec": np.zeros_like(model.w_rec),
+        "b_rec": np.zeros_like(model.b_rec),
+    }
+    d_hidden = model.w_out.T @ d_logits
+    for t in range(len(rows) - 1, -1, -1):
+        dz = (1.0 - hiddens[t + 1] ** 2) * d_hidden
+        grads["w_in"] += np.outer(dz, rows[t])
+        grads["w_rec"] += np.outer(dz, hiddens[t])
+        grads["b_rec"] += dz
+        d_hidden = model.w_rec.T @ dz
+    return loss, grads
+
+
+def _assert_same_floats(actual, expected):
+    assert np.shape(actual) == np.shape(expected)
+    assert np.array_equal(actual, expected)
+    assert _float_hex(actual) == _float_hex(expected)  # signs of zero too
+
+
+def test_batched_passes_equal_the_per_step_loops_bit_for_bit(payload_catalog):
+    traces = _digest_traces(payload_catalog)
+    rows = encode_trace(traces[-1], payload_catalog)
+    cuts = (1, len(rows) // 2, len(rows))
+    assert cuts[-1] > MAX_SEQUENCE
+    model = RecurrentModel(payload_catalog, seed=11)
+    for trained in (False, True):
+        if trained:
+            for trace in traces:
+                model.train_online(trace)
+        for cut in cuts:
+            prefix = rows[:cut]
+            for target in range(model.output_size):
+                loss, grads = model.loss_and_grads(prefix, target)
+                ref_loss, ref_grads = _reference_loss_and_grads(
+                    model, prefix, target)
+                _assert_same_floats(loss, ref_loss)
+                assert grads.keys() == ref_grads.keys()
+                for name, grad in grads.items():
+                    _assert_same_floats(grad, ref_grads[name])
+
+            trace = EventTrace(traces[-1].instance_id,
+                               traces[-1].events[:cut])
+            hidden, probs = model.start(trace)
+            ref_hidden = _reference_forward(model, prefix[-MAX_SEQUENCE:])[-1]
+            _assert_same_floats(hidden, ref_hidden)
+            _assert_same_floats(probs, _reference_softmax(
+                model.w_out @ ref_hidden + model.b_out))
+
+
+def test_in_place_softmax_leaves_cursors_and_weights_alone(payload_catalog):
+    model = RecurrentModel(payload_catalog, seed=7)
+    cursor, probs = model.start(make_trace(
+        payload_catalog, ["A", "temp", "B"], payloads={"temp": (21.5,)}))
+    kept = cursor.copy(), probs.copy()
+    weights = get_flat_params(model)
+
+    first = model.advance(cursor, "C")
+    second = model.advance(cursor, "C")
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, cursor)
+    # The traversal hands ``advance`` a read-only view over a cursor's bytes.
+    frozen = np.frombuffer(cursor.tobytes())
+    for a, b in zip(model.advance(frozen, "C"), first):
+        assert np.array_equal(a, b)
+
+    model.start(make_trace(payload_catalog, ["B", "pair"],
+                           payloads={"pair": (3.0, "hi")}))
+    assert np.array_equal(cursor, kept[0])
+    assert np.array_equal(probs, kept[1])
+    assert np.array_equal(get_flat_params(model), weights)
