@@ -39,7 +39,6 @@ from .synthesis import (
     write_spec,
 )
 from .traversal import (
-    Classification,
     FailureEstimate,
     OutcomePath,
     TraversalLimits,

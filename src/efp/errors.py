@@ -61,6 +61,10 @@ class DuplicateInstance(EfpError):
     """An execution instance with this id is already live on the bus."""
 
 
+class QueueFull(EfpError):
+    """The full queue of an instance that has not started did not drain."""
+
+
 class InsufficientData(EfpError):
     """Cross validation needs at least k labeled traces and both classes."""
 

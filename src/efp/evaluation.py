@@ -34,7 +34,6 @@ from .model import mine_model
 from .predictors import Classifier, FrequencyModel
 from .synthesis import CollaborationSpec, generate, inject_faults
 from .traversal import (
-    Classification,
     TraversalLimits,
     classify_instance,
     traverse,  # unused here, but bench/run.py's traced sweep patches it
@@ -236,16 +235,15 @@ def evaluate_split(
     for trace in test:
         prefix = evaluation_prefix(trace)
         if any(e.is_intrinsic for e in prefix.events):
-            verdict = classify_instance(
+            predicted_fail = classify_instance(
                 prefix, classifier, model, config.limits, config.threshold,
                 memo=memo,
             )
         else:
             # Nothing observable yet (e.g. fully filtered away): the only
             # defensible call is the negative class.
-            verdict = Classification.PREDICT_END
-        actual_fail = trace.outcome_label is Outcome.FAIL
-        cm = cm.add(actual_fail, verdict is Classification.PREDICT_FAIL)
+            predicted_fail = False
+        cm = cm.add(trace.outcome_label is Outcome.FAIL, predicted_fail)
     precision, recall, mcc = metrics(cm)
     return FoldResult(cm, precision, recall, mcc, len(test))
 

@@ -5,7 +5,10 @@ The bus is a deterministic stand-in for a message broker: publishers
 append to per-instance bounded queues, and each queue has one consumer,
 the instance's ``EfpInstance``, which sees every event exactly once in
 publish order. Events published before ``start_instance`` wait in their
-queue and are delivered when the instance starts. ``PredictionEvent``s
+queue and are delivered when the instance starts. A publisher waits on a
+full queue until it drains; only ``start_instance`` drains the queue of an
+instance that has not started, so that wait is bounded by
+``UNSTARTED_WAIT_SECONDS`` and ends in ``QueueFull``. ``PredictionEvent``s
 land on a shared outgoing queue. Publishing is thread-safe; each instance's
 events are dispatched strictly sequentially.
 """
@@ -16,7 +19,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DuplicateInstance
+from .errors import DuplicateInstance, QueueFull
 from .events import Event, EventKind, EventTrace, Outcome
 from .model import ProcessModel
 from .predictors import Classifier
@@ -29,6 +32,9 @@ from .traversal import (
 
 DEFAULT_QUEUE_CAPACITY = 65536
 TOP_PATHS = 5
+# Bound on a publish's wait on the full queue of an instance that has not
+# started (see ``Bus.publish``).
+UNSTARTED_WAIT_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -177,10 +183,23 @@ class Bus:
         holding the per-queue dispatch flag, so the instance sees the events
         of its queue sequentially and exactly once, even with concurrent
         publishers. Until the instance starts, its events stay queued.
+
+        On a full queue the publisher waits until it drains. While the
+        instance has not started, that wait ends after
+        ``UNSTARTED_WAIT_SECONDS`` with ``QueueFull`` and the event is not
+        queued; once ``start_instance`` runs, it is unbounded.
         """
         instance_id = event.global_instance_id
         with self._not_full:
             queue = self.queues.setdefault(instance_id, deque())
+            if len(queue) >= self.capacity and not self._not_full.wait_for(
+                lambda: len(queue) < self.capacity or instance_id in self.instances,
+                UNSTARTED_WAIT_SECONDS,
+            ):
+                raise QueueFull(
+                    f"queue of instance {instance_id!r} stayed full for "
+                    f"{UNSTARTED_WAIT_SECONDS} s and the instance has not started"
+                )
             while len(queue) >= self.capacity:
                 self._not_full.wait()
             queue.append(event)

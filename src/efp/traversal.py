@@ -6,17 +6,19 @@ out and the rest renormalized, and the most likely candidates are expanded
 depth first until a final state or the failure state is reached. Branches
 cut by the depth, breadth, or probability limits are tallied into
 ``pruned_mass`` so the failure probability can be reported with honest
-interval bounds.
+interval bounds. A walk's leaves are sorted once, most likely first: the
+explored and failure masses are added in that order, and the top paths
+are read off the head of that list.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -88,10 +90,6 @@ def _outcome_path(leaf) -> OutcomePath:
     )
 
 
-def _path_order(path: OutcomePath):
-    return -path.probability, path.suffix
-
-
 @dataclass(frozen=True)
 class TraversalResult:
     """Masses and outcome paths of one traversal.
@@ -101,11 +99,13 @@ class TraversalResult:
     branches the limits cut. The walk records each path as a leaf
     ``(probability, link, outcome, outcome_state)``, where ``link`` is
     ``(parent_link, state, step_probability)`` and the root's link is
-    ``None``. ``paths`` (every path, most likely first, ties broken by
-    suffix) is built from the leaves on its first read; ``top_paths(k)``
-    builds only the paths that can be among the first ``k``. The masses,
-    and so ``failure_probability``, never build a path. The leaves take no
-    part in equality or ``repr``: a deep walk's links nest thousands deep.
+    ``None``. The leaves are kept most likely first, leaves of equal
+    probability in walk order. Paths are ordered most likely first, ties
+    broken by suffix: ``top_paths(k)`` builds the first ``k`` from the
+    leading leaves, and ``paths``, every path, is built on its first read.
+    The masses, and so ``failure_probability``, never build a path. The
+    leaves take no part in equality or ``repr``: a deep walk's links nest
+    thousands deep.
     """
 
     explored_mass: float
@@ -117,25 +117,20 @@ class TraversalResult:
 
     @cached_property
     def paths(self) -> tuple[OutcomePath, ...]:
-        return tuple(sorted(map(_outcome_path, self.leaves), key=_path_order))
+        return self.top_paths(len(self.leaves))
 
     def top_paths(self, k: int) -> tuple[OutcomePath, ...]:
-        """``paths[:k]``, building only the leaves whose probability is at
-        least the ``k``-th largest."""
+        """``paths[:k]``, built from the leading leaves down to the
+        ``k``-th probability, ties at the cut included."""
         leaves = self.leaves
         if len(leaves) > k >= 1:
-            cut = sorted([leaf[0] for leaf in leaves], reverse=True)[k - 1]
-            leaves = [leaf for leaf in leaves if leaf[0] >= cut]
-        return tuple(sorted(map(_outcome_path, leaves), key=_path_order)[:k])
-
-
-def _plain_sum(values) -> float:
-    """Added in order, one rounding each: from Python 3.12 on, ``sum``
-    compensates the rounding of floats."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+            cut = leaves[k - 1][0]
+            leaves = itertools.takewhile(lambda leaf: leaf[0] >= cut, leaves)
+        paths = []
+        for _, tied in itertools.groupby(
+                map(_outcome_path, leaves), key=attrgetter("probability")):
+            paths += sorted(tied, key=attrgetter("suffix"))
+        return tuple(paths[:k])
 
 
 def _key(cursor, state: str):
@@ -152,15 +147,16 @@ class _Walker:
     ``nodes`` maps a context's ``_key`` to a flat tuple ``(cursor, state,
     names, probs, slot)``: the ranked children's names and probabilities,
     and an id from an atomic counter; an array cursor is a view of its
-    key's bytes. ``links`` maps ``(slot, rank)`` to the child's node. Such
-    tuples of atoms are untracked by the garbage collector once it has
-    seen them, and they form no reference cycle: a dropped walker is freed
-    by reference counting, and a walk may go on in a walker that another
-    thread has just replaced. Threads agree on a node by
-    ``dict.setdefault``. With its links, a node takes about 0.55 KB for a
-    window-3 frequency model and 0.86 KB for a 32-unit recurrent model.
-    The walker holds no reference to its classifier: it keeps the
-    ``version`` and the fixed ``outcomes`` it was built for."""
+    key's bytes. ``links`` maps the int ``rank << 40 | slot`` to the
+    child's node, one key per ``(slot, rank)`` while fewer than 2**40
+    slots are drawn. The collector never tracks ints and untracks tuples
+    of atoms once it has seen them, and they form no reference cycle: a
+    dropped walker is freed by reference counting, and a walk may go on in
+    a walker that another thread has just replaced. Threads agree on a
+    node by ``dict.setdefault``. With its links, a node takes about
+    0.55 KB for a window-3 frequency model and 0.86 KB for a 32-unit
+    recurrent model. The walker holds no reference to its classifier: it
+    keeps the ``version`` and the fixed ``outcomes`` it was built for."""
 
     def __init__(self, classifier: Classifier, model: ProcessModel):
         self.version = classifier.version
@@ -198,7 +194,7 @@ class _Walker:
         check_distribution(probs, len(self.outcomes))
         slots, feasible = self.slots(state)
         entries = [(name, p) for i, name in slots if (p := probs[i]) > 0.0]
-        total = 0.0  # as ``_plain_sum``, without a generator per node
+        total = 0.0  # added in order, one rounding each, as in ``traverse``
         for _, p in entries:
             total += p
         if total <= 0.0:
@@ -259,7 +255,7 @@ class _Walker:
                     pruned += p_child
                 else:
                     budget -= 1
-                    at = node[4], rank
+                    at = rank << 40 | node[4]
                     child = links.get(at)
                     if child is None:
                         child = links[at] = self.node(*advance(node[0], name), name)
@@ -335,17 +331,16 @@ def traverse(
         # has just put a newer walker there, that one goes too and is rebuilt.
         if len(walker.nodes) > NODE_CAP:
             _walkers.pop(classifier, None)
-    leaves = tuple(leaves)
-    # Summed largest first, as over the sorted paths: the two orders differ
-    # only among paths of equal probability.
-    result = TraversalResult(
-        explored_mass=_plain_sum(sorted([leaf[0] for leaf in leaves], reverse=True)),
-        pruned_mass=pruned,
-        failure_mass=_plain_sum(sorted(
-            [leaf[0] for leaf in leaves if leaf[2] is Outcome.FAIL], reverse=True
-        )),
-        leaves=leaves,
-    )
+    leaves.sort(key=itemgetter(0), reverse=True)
+    # Both masses are added most likely first, one rounding per addition
+    # (from Python 3.12 on, ``sum`` compensates the rounding of floats).
+    # The failing leaves of a descending list are descending too.
+    explored = failing = 0.0
+    for probability, _, outcome, _ in leaves:
+        explored += probability
+        if outcome is Outcome.FAIL:
+            failing += probability
+    result = TraversalResult(explored, pruned, failing, leaves=tuple(leaves))
     if memo is not None:
         memo[key] = result
     return result
@@ -375,11 +370,6 @@ def failure_probability(result: TraversalResult) -> FailureEstimate:
     return FailureEstimate(fail_mass, fail_mass, fail_mass + result.pruned_mass)
 
 
-class Classification(enum.Enum):
-    PREDICT_FAIL = "fail"
-    PREDICT_END = "end"
-
-
 def classify_instance(
     trace: EventTrace,
     classifier: Classifier,
@@ -387,17 +377,16 @@ def classify_instance(
     limits: TraversalLimits = TraversalLimits(),
     threshold: float = 0.5,
     memo: dict | None = None,
-) -> Classification:
-    """Binarize the failure probability at ``threshold`` (inclusive);
-    ``memo`` is passed on to ``traverse``."""
+) -> bool:
+    """Whether the failure probability reaches ``threshold`` (inclusive),
+    that is, a failure is predicted; ``memo`` is passed on to
+    ``traverse``."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     estimate = failure_probability(
         traverse(trace, classifier, model, limits, memo=memo)
     )
-    if estimate.p_fail >= threshold:
-        return Classification.PREDICT_FAIL
-    return Classification.PREDICT_END
+    return estimate.p_fail >= threshold
 
 
 def format_report(paths: Sequence[OutcomePath]) -> str:

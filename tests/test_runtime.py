@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from efp.errors import DuplicateInstance
+import efp.runtime
+from efp.errors import DuplicateInstance, QueueFull
 from efp.events import FAIL_STATE, Event, Outcome
 from efp.model import ProcessModel, mine_model
 from efp.predictors import FrequencyModel
@@ -254,6 +255,36 @@ def test_backpressure_blocks_publisher_until_drained(order_catalog,
     t.join(timeout=2)
     assert unblocked.is_set()
     assert [e.timestamp for e in instance.events] == [0, 1, 2, 3]
+
+
+def test_publisher_on_an_unstarted_full_queue_gets_an_error(
+        order_catalog, chain_setup, monkeypatch):
+    # One thread fills the queue of an instance that has not started: no
+    # other thread can start it, so the wait is bounded and ends in an error.
+    import time
+
+    model, stub = chain_setup
+    monkeypatch.setattr(efp.runtime, "UNSTARTED_WAIT_SECONDS", 0.2)
+    bus = Bus(capacity=3)
+    raised = []
+
+    def publish_four():
+        try:
+            for i in range(4):
+                bus.publish(_event(order_catalog, "A", i, "i1"))
+        except QueueFull as exc:
+            raised.append(exc)
+
+    began = time.monotonic()
+    t = threading.Thread(target=publish_four, daemon=True)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert time.monotonic() - began >= 0.2
+    assert len(raised) == 1 and "'i1'" in str(raised[0])
+    assert len(bus.queues["i1"]) == 3
+    instance = bus.start_instance("i1", stub, model)
+    assert [e.timestamp for e in instance.events] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("capacity", [0, -1])

@@ -19,7 +19,6 @@ from efp.predictors import (
 from efp.recurrent import RecurrentModel
 from efp.runtime import Bus
 from efp.traversal import (
-    Classification,
     FailureEstimate,
     OutcomePath,
     TraversalLimits,
@@ -161,8 +160,7 @@ def test_scripted_example_failure_probability(order_catalog, order_model,
     est = failure_probability(traverse(trace, table_stub, order_model))
     assert est.p_fail == pytest.approx(0.986, abs=1e-3)
     assert est.lower <= est.p_fail <= est.upper
-    assert classify_instance(trace, table_stub, order_model) is \
-        Classification.PREDICT_FAIL
+    assert classify_instance(trace, table_stub, order_model) is True
 
 
 def test_outcome_states(order_catalog, order_model, table_stub):
@@ -228,10 +226,8 @@ def test_classification_threshold_boundary(order_catalog, order_model):
         ("A", "B", "C"): {"E": 0.5, FAIL_STATE: 0.5},
     })
     trace = make_trace(order_catalog, ["A", "B", "C"])
-    assert classify_instance(trace, stub, order_model) is \
-        Classification.PREDICT_FAIL  # boundary inclusive
-    assert classify_instance(trace, stub, order_model, threshold=0.51) is \
-        Classification.PREDICT_END
+    assert classify_instance(trace, stub, order_model) is True  # inclusive
+    assert classify_instance(trace, stub, order_model, threshold=0.51) is False
     with pytest.raises(ValueError):
         classify_instance(trace, stub, order_model, threshold=0.0)
 
@@ -571,8 +567,13 @@ def reference_traverse(trace, classifier, model, limits):
     cursor, prediction = classifier.start(trace)
     expand(cursor, prediction, current_step(trace), (), (), 1.0)
     paths.sort(key=lambda p: (-p.probability, p.suffix))
-    explored = sum(p.probability for p in paths)
-    failing = sum(p.probability for p in paths if p.outcome is Outcome.FAIL)
+    # Added left to right, one rounding each: from Python 3.12 on, ``sum``
+    # compensates the rounding of floats.
+    explored = failing = 0.0
+    for path in paths:
+        explored += path.probability
+        if path.outcome is Outcome.FAIL:
+            failing += path.probability
     return tuple(paths), explored, pruned, failing
 
 
@@ -585,7 +586,10 @@ def assert_walks_agree(trace, classifier, model, limits):
         assert result.top_paths(k) == paths[:k]
     assert result.paths == paths
     assert result.explored_mass == explored
+    assert result.failure_mass == failing
     assert result.pruned_mass == pruned
+    leaf_probabilities = [leaf[0] for leaf in result.leaves]
+    assert all(a >= b for a, b in zip(leaf_probabilities, leaf_probabilities[1:]))
     assert failure_probability(result) == FailureEstimate(
         failing, failing, failing + pruned)
     return len(paths)
