@@ -96,14 +96,12 @@ def mine_model(traces: list[EventTrace]) -> ProcessModel:
         firsts[seq[0]] += 1
         finals.add(seq[-1])
         for a, b in zip(seq, seq[1:]):
-            if a != FAIL_STATE:
+            # Failure edges are implicit: ``allowed`` holds step successions.
+            if a != FAIL_STATE and b != FAIL_STATE:
                 edges.add((a, b))
 
     top = max(firsts.values())
     initial = min(s for s, c in firsts.items() if c == top)
-    # Observed edges into q_fail are implicit in the model; drop them here
-    # so `allowed` stays the pure step-succession relation.
-    edges = {(a, b) for a, b in edges if b != FAIL_STATE}
     return ProcessModel(
         states=frozenset(states),
         initial_state=initial,

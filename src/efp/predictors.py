@@ -268,5 +268,7 @@ class FrequencyModel(Classifier):
             counts = np.zeros(len(self.outcomes))
         total = float(counts.sum()) + self.alpha * len(self.outcomes)
         probs = (counts + self.alpha) / total
+        # Every caller shares the cached row, so none may write into it.
+        probs.flags.writeable = False
         self._prediction_cache[context] = probs
         return probs

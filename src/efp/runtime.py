@@ -11,6 +11,12 @@ instance that has not started, so that wait is bounded by
 ``UNSTARTED_WAIT_SECONDS`` and ends in ``QueueFull``. ``PredictionEvent``s
 land on a shared outgoing queue. Publishing is thread-safe; each instance's
 events are dispatched strictly sequentially.
+
+An instance closes on its first intrinsic event in one of the model's
+final states. The failure state is one of them: reaching it labels the
+trace ``Outcome.FAIL``, any other final state ``Outcome.END``. An event
+older than the instance's last accepted event is refused with an
+``ErrorEvent`` and the instance carries on without it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DuplicateInstance, QueueFull
-from .events import Event, EventKind, EventTrace, Outcome
+from .events import FAIL_STATE, Event, EventTrace, Outcome
 from .model import ProcessModel
 from .predictors import Classifier
 from .traversal import (
@@ -58,9 +64,9 @@ class PredictionEvent:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """Published when the classifier raised: instead of a prediction
-    (``stage`` ``"prediction"``), or when training on a closed instance's
-    trace failed (``stage`` ``"training"``)."""
+    """Published when the classifier raised or a late event was refused:
+    instead of a prediction (``stage`` ``"prediction"``), or when training
+    on a closed instance's trace failed (``stage`` ``"training"``)."""
 
     instance_id: str
     at_event_index: int
@@ -74,7 +80,8 @@ class EfpInstance:
     Appends every observed event to the running trace, emits one
     prediction per event once an intrinsic event exists, and closes the
     instance (training the classifier on the completed labeled trace)
-    when a final step or a failure arrives.
+    when an intrinsic event reaches a final state. A late event is
+    refused, and events after the close are ignored.
     """
 
     def __init__(self, bus, instance_id, classifier, model, limits):
@@ -97,8 +104,16 @@ class EfpInstance:
     def on_event(self, event: Event) -> PredictionEvent | None:
         if self.closed:
             return None
+        index = len(self.events)
+        if self.events and event.timestamp < self.events[-1].timestamp:
+            self.bus.error_queue.append(ErrorEvent(
+                self.instance_id, index,
+                f"event at {event.timestamp} ms precedes the last accepted one "
+                f"at {self.events[-1].timestamp} ms: trace events must be "
+                "timestamp-ordered", "prediction",
+            ))
+            return None
         self.events.append(event)
-        index = len(self.events) - 1
         self.seen_intrinsic = self.seen_intrinsic or event.is_intrinsic
 
         prediction = None
@@ -124,21 +139,16 @@ class EfpInstance:
                 )
                 self.bus.prediction_queue.append(prediction)
 
-        if event.event_type.kind is EventKind.FAILURE:
-            self._close(Outcome.FAIL, index)
-        elif event.is_intrinsic and event.state in self.model.final_states:
-            self._close(Outcome.END, index)
+        if event.is_intrinsic and event.state in self.model.final_states:
+            self.closed = True
+            self.label = Outcome.FAIL if event.state == FAIL_STATE else Outcome.END
+            try:
+                self.classifier.train_online(self.trace)
+            except Exception as exc:  # the instance stays closed with its label
+                self.bus.error_queue.append(
+                    ErrorEvent(self.instance_id, index, str(exc), "training")
+                )
         return prediction
-
-    def _close(self, label: Outcome, index: int) -> None:
-        self.closed = True
-        self.label = label
-        try:
-            self.classifier.train_online(self.trace)
-        except Exception as exc:  # the instance stays closed with its label
-            self.bus.error_queue.append(
-                ErrorEvent(self.instance_id, index, str(exc), "training")
-            )
 
 
 class Bus:

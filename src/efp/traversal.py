@@ -105,14 +105,15 @@ class TraversalResult:
     leading leaves, and ``paths``, every path, is built on its first read.
     The masses, and so ``failure_probability``, never build a path. The
     leaves take no part in equality or ``repr``: a deep walk's links nest
-    thousands deep.
+    thousands deep. A trace already in a final state is ``already_final``:
+    it has no leaves, and ``failure_mass`` carries the certain outcome,
+    1.0 in the failure state and 0.0 in any other.
     """
 
     explored_mass: float
     pruned_mass: float
     failure_mass: float = 0.0
     already_final: bool = False
-    final_state: str | None = None
     leaves: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
@@ -296,7 +297,7 @@ def traverse(
     """Enumerate probable continuations of ``trace`` within the limits.
 
     When the trace already sits in a final state there is nothing to
-    predict: the result carries the ``already_final`` flag and the state.
+    predict: the result is ``already_final``, its ``failure_mass`` certain.
     Otherwise ``explored_mass + pruned_mass == 1`` up to rounding.
 
     The nodes are kept between calls, in a step cache of each classifier
@@ -316,7 +317,9 @@ def traverse(
     """
     state = current_step(trace)
     if state in model.final_states:
-        return TraversalResult(0.0, 0.0, already_final=True, final_state=state)
+        return TraversalResult(
+            0.0, 0.0, 1.0 if state == FAIL_STATE else 0.0, already_final=True
+        )
     cursor, probs = classifier.start(trace)
     key = _key(cursor, state)
     if memo is not None and key in memo:
@@ -360,12 +363,7 @@ def failure_probability(result: TraversalResult) -> FailureEstimate:
 
     The point estimate sums the probabilities of all failing paths; the
     upper bound adds the pruned mass, which could hide further failures.
-    A trace that already terminated is certain: probability 1 if it ended
-    in the failure state, 0 otherwise.
     """
-    if result.already_final:
-        p = 1.0 if result.final_state == FAIL_STATE else 0.0
-        return FailureEstimate(p, p, p)
     fail_mass = result.failure_mass
     return FailureEstimate(fail_mass, fail_mass, fail_mass + result.pruned_mass)
 

@@ -16,7 +16,6 @@ import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from xml.etree import ElementTree
-from xml.sax.saxutils import quoteattr
 
 from .errors import ParseError, SchemaError
 from .events import (
@@ -79,45 +78,49 @@ def write_xes(traces: list[EventTrace]) -> bytes:
     Output bytes are a pure function of the input: traces in given order,
     attributes in fixed order, payload fields in schema order.
     """
+    # Imported here: ``xml.sax.saxutils`` loads ``urllib.request``, which
+    # ``import efp`` need not pay for.
+    from xml.sax.saxutils import quoteattr
+
     out = io.StringIO()
+
+    def attr(indent: int, tag: str, key: str, value: str) -> None:
+        out.write(
+            f'{" " * indent}<{tag} key={quoteattr(key)} value={quoteattr(value)}/>\n'
+        )
+
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     out.write('<log xes.version="1.0">\n')
     for trace in traces:
         out.write("  <trace>\n")
-        _attr(out, 4, "string", "concept:name", trace.instance_id)
+        attr(4, "string", "concept:name", trace.instance_id)
         if trace.outcome_label is not None:
-            _attr(out, 4, "string", "efp:outcome", trace.outcome_label.value)
+            attr(4, "string", "efp:outcome", trace.outcome_label.value)
         if trace.error_index is not None:
-            _attr(out, 4, "int", "efp:error-index", str(trace.error_index))
+            attr(4, "int", "efp:error-index", str(trace.error_index))
         for event in trace.events:
             et = event.event_type
             out.write("    <event>\n")
-            _attr(out, 6, "string", "concept:name", et.name)
-            _attr(out, 6, "string", "lifecycle:transition", "complete")
-            _attr(out, 6, "date", "time:timestamp", _format_ts(event.timestamp))
-            _attr(out, 6, "string", "org:resource", event.partner_id)
-            _attr(out, 6, "string", "efp:instance", event.global_instance_id)
-            _attr(out, 6, "string", "efp:visibility", event.visibility.value)
-            _attr(out, 6, "string", "efp:kind", et.kind.value)
+            attr(6, "string", "concept:name", et.name)
+            attr(6, "string", "lifecycle:transition", "complete")
+            attr(6, "date", "time:timestamp", _format_ts(event.timestamp))
+            attr(6, "string", "org:resource", event.partner_id)
+            attr(6, "string", "efp:instance", event.global_instance_id)
+            attr(6, "string", "efp:visibility", event.visibility.value)
+            attr(6, "string", "efp:kind", et.kind.value)
             for (fname, fkind), value in zip(et.data_schema, event.payload):
                 if fkind is FieldKind.NUMERIC:
-                    _attr(out, 6, "float", fname, repr(float(value)))
+                    attr(6, "float", fname, repr(float(value)))
                 else:
-                    _attr(out, 6, "string", fname, str(value))
+                    attr(6, "string", fname, str(value))
             out.write("    </event>\n")
         out.write("  </trace>\n")
     out.write("</log>\n")
     return out.getvalue().encode("utf-8")
 
 
-def _attr(out, indent: int, tag: str, key: str, value: str) -> None:
-    out.write(
-        f'{" " * indent}<{tag} key={quoteattr(key)} value={quoteattr(value)}/>\n'
-    )
-
-
-def read_xes(source) -> ParsedLog:
-    """Parse an XES byte stream into traces.
+def read_xes(source: bytes) -> ParsedLog:
+    """Parse an XES document, given as bytes, into traces.
 
     The first event of each name gives that name's type (see
     :func:`_infer_type`), later events must conform to it (``SchemaError``
@@ -125,10 +128,9 @@ def read_xes(source) -> ParsedLog:
     inferred types; a second failure type is a ``SchemaError``. Traces with
     zero events are dropped and counted in ``empty_dropped``.
     """
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
     try:
-        root = ElementTree.parse(source).getroot()
+        # Parsing a stream peaks lower in memory than ``fromstring`` does.
+        root = ElementTree.parse(io.BytesIO(source)).getroot()
     except ElementTree.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import efp.evaluation
 import efp.traversal
 from efp.errors import EmptyMatrix, InsufficientData
 from efp.evaluation import (
@@ -216,6 +217,29 @@ def test_evaluation_prefix_rules(order_catalog):
                            label=Outcome.END)
     prefix = evaluation_prefix(end_trace)
     assert [e.event_type.name for e in prefix.events] == ["A", "B", "C"]
+
+
+def test_prefix_without_intrinsic_event_is_a_predicted_negative(order_catalog,
+                                                                monkeypatch):
+    # With nothing intrinsic observed there is no state to traverse from:
+    # the split calls the trace negative without asking the classifier.
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_instance called")
+
+    monkeypatch.setattr(efp.evaluation, "classify_instance", refuse)
+    train = [
+        make_trace(order_catalog, ["A", "B", "C", "E"], instance_id="t0",
+                   label=Outcome.END),
+        make_trace(order_catalog, ["A", "B", "failure"], instance_id="t1",
+                   label=Outcome.FAIL),
+    ]
+    test = [
+        make_trace(order_catalog, ["temp", "temp"], instance_id=f"c{i}",
+                   payloads={"temp": (1.0,)}, label=label)
+        for i, label in enumerate((Outcome.END, Outcome.FAIL, Outcome.END))
+    ]
+    result = evaluate_split(train, test, PipelineConfig(), order_catalog)
+    assert result.matrix == ConfusionMatrix(tp=0, fn=1, fp=0, tn=2)
 
 
 def test_report_summary_mentions_both_summaries(injected_corpus):

@@ -223,6 +223,22 @@ def test_frequency_prediction_is_valid_distribution(small_catalog):
     assert model.outcomes[0] == FAIL_STATE
 
 
+def test_cached_frequency_prediction_is_read_only(small_catalog):
+    # Every caller shares one cached row per context: an in-place edit by
+    # one of them must not change what the others read.
+    model = FrequencyModel(small_catalog)
+    model.train([make_trace(small_catalog, ["A", "B"], label=Outcome.END)])
+    trace = make_trace(small_catalog, ["A"])
+    first = model.predict(trace)
+    expected = first.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        first *= 2
+    again = model.predict(trace)
+    assert np.array_equal(again, expected)
+    assert np.array_equal(model.advance(model.start(trace)[0], "B")[1],
+                          model.predict(make_trace(small_catalog, ["A", "B"])))
+
+
 NAN, INF = float("nan"), float("inf")
 
 

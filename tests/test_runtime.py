@@ -1,14 +1,17 @@
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import efp.runtime
 from efp.errors import DuplicateInstance, QueueFull
-from efp.events import FAIL_STATE, Event, Outcome
+from efp.events import FAIL_STATE, Event, Outcome, catalog_from_traces
 from efp.model import ProcessModel, mine_model
 from efp.predictors import FrequencyModel
 from efp.runtime import Bus, replay
+from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 from efp.traversal import TraversalLimits
 
 from conftest import StubClassifier, make_catalog, make_trace
@@ -16,6 +19,17 @@ from conftest import StubClassifier, make_catalog, make_trace
 
 def _event(catalog, name, ts, instance, payload=()):
     return Event(catalog.lookup(name), ts, instance, "p0", payload=payload)
+
+
+class Recorder(StubClassifier):
+    """Uniform predictions; keeps every trace it is trained on."""
+
+    def __init__(self, catalog):
+        super().__init__(catalog, {})
+        self.trained = []
+
+    def train_online(self, trace):
+        self.trained.append(trace)
 
 
 @pytest.fixture
@@ -132,15 +146,6 @@ def test_one_prediction_per_event_after_first_intrinsic(order_catalog,
 
 def test_close_trains_exactly_once_with_full_trace(order_catalog, chain_setup):
     model, _ = chain_setup
-
-    class Recorder(StubClassifier):
-        def __init__(self, catalog):
-            super().__init__(catalog, {})
-            self.trained = []
-
-        def train_online(self, trace):
-            self.trained.append(trace)
-
     recorder = Recorder(order_catalog)
     bus = Bus()
     bus.start_instance("i1", recorder, model)
@@ -154,15 +159,6 @@ def test_close_trains_exactly_once_with_full_trace(order_catalog, chain_setup):
 
 def test_failure_event_closes_with_fail_label(order_catalog, chain_setup):
     model, _ = chain_setup
-
-    class Recorder(StubClassifier):
-        def __init__(self, catalog):
-            super().__init__(catalog, {})
-            self.trained = []
-
-        def train_online(self, trace):
-            self.trained.append(trace)
-
     recorder = Recorder(order_catalog)
     bus = Bus()
     instance = bus.start_instance("i1", recorder, model)
@@ -172,6 +168,68 @@ def test_failure_event_closes_with_fail_label(order_catalog, chain_setup):
     assert recorder.trained[0].outcome_label is Outcome.FAIL
     # prediction at the failure event reports certainty
     assert bus.prediction_queue[-1].p_fail == 1.0
+
+
+def test_events_after_the_close_are_ignored(order_catalog, chain_setup):
+    model, _ = chain_setup
+    recorder = Recorder(order_catalog)
+    bus = Bus()
+    instance = bus.start_instance("i1", recorder, model)
+    for i, name in enumerate(["A", "B", "C", "E"]):
+        bus.publish(_event(order_catalog, name, 1_000 * i, "i1"))
+    assert instance.closed and instance.label is Outcome.END
+    predictions = list(bus.prediction_queue)
+    for i, name in enumerate(["B", "failure"]):
+        bus.publish(_event(order_catalog, name, 10_000 + i, "i1"))
+    assert bus.prediction_queue == predictions
+    assert bus.error_queue == []
+    assert [e.state for e in instance.events] == ["A", "B", "C", "E"]
+    assert instance.label is Outcome.END
+    assert len(recorder.trained) == 1
+
+
+def test_late_event_is_refused_and_the_instance_carries_on(order_catalog,
+                                                           chain_setup):
+    model, stub = chain_setup
+    bus = Bus()
+    instance = bus.start_instance("i1", stub, model)
+    bus.publish(_event(order_catalog, "A", 1_000, "i1"))
+    bus.publish(_event(order_catalog, "B", 999, "i1"))  # 1 ms late
+    bus.publish(_event(order_catalog, "B", 1_000, "i1"))  # equal: accepted
+    bus.publish(_event(order_catalog, "C", 2_000, "i1"))
+    assert [e.state for e in instance.events] == ["A", "B", "C"]
+    [error] = bus.error_queue
+    assert (error.at_event_index, error.stage) == (1, "prediction")
+    assert "timestamp-ordered" in error.message
+    assert [p.at_event_index for p in bus.prediction_queue] == [0, 1, 2]
+    assert not instance.closed
+
+
+def test_late_event_in_a_generated_instance_costs_one_error():
+    # One event 1 ms out of order used to turn every later prediction of
+    # its instance into an error, and the instance was never trained on.
+    spec = default_spec(1)
+    traces = inject_faults(generate(spec, 30), default_fault_plan(spec, 0.5),
+                           seed=2)
+    classifier = FrequencyModel(catalog_from_traces(traces))
+    classifier.fit_bins(traces[:20])
+    classifier.train(traces[:20])
+    model = mine_model(traces)
+    [trace] = [t for t in traces if t.instance_id == "case-00025"]
+    events = list(trace.events)
+    events[5] = replace(events[5], timestamp=events[4].timestamp - 1)
+    assert len(events) == 68
+
+    bus = Bus()
+    instance = bus.start_instance(trace.instance_id, classifier, model)
+    for event in events:
+        bus.publish(event)
+    assert len(bus.prediction_queue) == 67
+    [error] = bus.error_queue
+    assert (error.at_event_index, error.stage) == (5, "prediction")
+    assert instance.closed and instance.label is trace.outcome_label
+    assert classifier.trained_traces == 21
+    assert instance.events == events[:5] + events[6:]
 
 
 def test_classifier_failure_publishes_error_and_keeps_instance(order_catalog,
@@ -235,8 +293,6 @@ def test_diverged_classifier_publishes_error_not_fallback(order_catalog,
 
 def test_backpressure_blocks_publisher_until_drained(order_catalog,
                                                      chain_setup):
-    import time
-
     model, stub = chain_setup
     bus = Bus(capacity=3)
     for i in range(3):
@@ -257,12 +313,47 @@ def test_backpressure_blocks_publisher_until_drained(order_catalog,
     assert [e.timestamp for e in instance.events] == [0, 1, 2, 3]
 
 
+def test_publisher_waits_on_the_full_queue_of_a_started_instance(
+        order_catalog, chain_setup):
+    # Thread A's first event blocks inside dispatch; thread B fills the
+    # queue behind it and then waits, with no bound, until A drains it.
+    model, _ = chain_setup
+    entered, release = threading.Event(), threading.Event()
+
+    class Gated(StubClassifier):
+        def start(self, trace):
+            entered.set()
+            release.wait(timeout=10)
+            return super().start(trace)
+
+    bus = Bus(capacity=2)
+    instance = bus.start_instance("i1", Gated(order_catalog, {}), model)
+    a = threading.Thread(target=bus.publish, daemon=True,
+                         args=(_event(order_catalog, "A", 0, "i1"),))
+    a.start()
+    assert entered.wait(timeout=5)
+
+    def publish_three():
+        for i, name in enumerate("BCD", 1):
+            bus.publish(_event(order_catalog, name, i, "i1"))
+
+    b = threading.Thread(target=publish_three, daemon=True)
+    b.start()
+    time.sleep(0.1)
+    assert b.is_alive() and a.is_alive()
+    assert len(bus.queues["i1"]) == 2
+    release.set()
+    a.join(timeout=5)
+    b.join(timeout=5)
+    assert not a.is_alive() and not b.is_alive()
+    assert [e.state for e in instance.events] == ["A", "B", "C", "D"]
+    assert [e.timestamp for e in instance.events] == [0, 1, 2, 3]
+
+
 def test_publisher_on_an_unstarted_full_queue_gets_an_error(
         order_catalog, chain_setup, monkeypatch):
     # One thread fills the queue of an instance that has not started: no
     # other thread can start it, so the wait is bounded and ends in an error.
-    import time
-
     model, stub = chain_setup
     monkeypatch.setattr(efp.runtime, "UNSTARTED_WAIT_SECONDS", 0.2)
     bus = Bus(capacity=3)

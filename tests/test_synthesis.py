@@ -127,6 +127,36 @@ def test_spec_file_round_trip():
         assert write_spec(clone) == text
 
 
+def test_plain_task_payload_fields():
+    # Each plain-task event carries one value per field, drawn in field
+    # order from its instance's own stream before the event's time step.
+    spec = CollaborationSpec(
+        name="weighing",
+        partners=("scale", "carrier"),
+        tasks=(
+            Task("weigh", "scale", fields=(
+                ("weight", Dist("normal", 10.0, 2.0)),
+                ("grade", Dist("choice", options=("a", "b", "c"))),
+            )),
+            Task("ship", "carrier"),
+        ),
+        seed=5,
+    )
+    traces = generate(spec, 4)
+    for i, trace in enumerate(traces):
+        rng = np.random.default_rng([spec.seed, i])
+        weight = float(rng.normal(10.0, 2.0))
+        grade = ("a", "b", "c")[rng.integers(0, 3)]
+        weigh, ship = trace.events
+        assert weigh.payload == (weight, grade)
+        assert ship.payload == ()
+    assert write_xes(generate(spec, 4)) == write_xes(traces)
+    text = write_spec(spec)
+    assert read_spec(text) == spec
+    assert write_spec(read_spec(text)) == text
+    assert write_xes(generate(read_spec(text), 4)) == write_xes(traces)
+
+
 def test_injection_rate_zero_and_one():
     spec = default_spec(2)
     traces = generate(spec, 40)

@@ -176,16 +176,20 @@ def test_already_final_result(order_catalog, order_model, table_stub):
     trace = make_trace(order_catalog, ["A", "B", "C", "E"])
     result = traverse(trace, table_stub, order_model)
     assert result.already_final
-    assert result.final_state == "E"
+    assert result.failure_mass == 0.0
     assert result.paths == ()
-    assert result.explored_mass == 0.0
+    assert result.explored_mass == result.pruned_mass == 0.0
     est = failure_probability(result)
     assert (est.p_fail, est.lower, est.upper) == (0.0, 0.0, 0.0)
 
 
 def test_already_failed_result(order_catalog, order_model, table_stub):
     trace = make_trace(order_catalog, ["A", "failure"])
-    est = failure_probability(traverse(trace, table_stub, order_model))
+    result = traverse(trace, table_stub, order_model)
+    assert result.already_final
+    assert result.failure_mass == 1.0
+    assert result.paths == ()
+    est = failure_probability(result)
     assert (est.p_fail, est.lower, est.upper) == (1.0, 1.0, 1.0)
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import efp
 
 from efp.errors import ParseError, SchemaError
 from efp.events import EventKind, FieldKind, Outcome, catalog_from_traces
@@ -132,3 +139,17 @@ def test_second_failure_type_in_one_log_is_rejected():
     with pytest.raises(SchemaError, match="second failure type 'abort'"):
         read_xes(blob)
 
+
+
+def test_importing_efp_leaves_the_http_stack_unloaded():
+    # ``xml.sax.saxutils`` pulls in ``urllib.request``, ``http.client`` and
+    # ``email``; only ``write_xes`` needs it, so only a write loads it.
+    src = str(Path(efp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, efp; print('urllib.request' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
