@@ -178,7 +178,7 @@ def cmd_run(args) -> int:
         lines.extend(p.line() for p in stream)
         # The closing event's prediction is certain and has no paths: the
         # path report and the detection only look at predictions before it.
-        closing = len(instance.events) - 1 if instance.closed else None
+        closing = instance.closed_at
         open_stream = [p for p in stream if p.at_event_index != closing]
         if args.report_paths and open_stream:
             lines.append("# paths at last event:")

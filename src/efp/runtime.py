@@ -16,7 +16,8 @@ An instance closes on its first intrinsic event in one of the model's
 final states. The failure state is one of them: reaching it labels the
 trace ``Outcome.FAIL``, any other final state ``Outcome.END``. An event
 older than the instance's last accepted event is refused with an
-``ErrorEvent`` and the instance carries on without it.
+``ErrorEvent`` and the instance carries on without it; a refused closing
+event still closes and labels the instance, on the trace accepted so far.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class EfpInstance:
     prediction per event once an intrinsic event exists, and closes the
     instance (training the classifier on the completed labeled trace)
     when an intrinsic event reaches a final state. A late event is
-    refused, and events after the close are ignored.
+    refused (but still closes the instance if it is a closing event), and
+    events after the close are ignored.
     """
 
     def __init__(self, bus, instance_id, classifier, model, limits):
@@ -92,8 +94,14 @@ class EfpInstance:
         self.limits = limits
         self.events: list[Event] = []
         self.seen_intrinsic = False
-        self.closed = False
+        # Index of the event that closed the instance: a refused late
+        # closing event keeps the index it would have taken.
+        self.closed_at: int | None = None
         self.label: Outcome | None = None
+
+    @property
+    def closed(self) -> bool:
+        return self.closed_at is not None
 
     @property
     def trace(self) -> EventTrace:
@@ -105,19 +113,20 @@ class EfpInstance:
         if self.closed:
             return None
         index = len(self.events)
-        if self.events and event.timestamp < self.events[-1].timestamp:
+        late = bool(self.events) and event.timestamp < self.events[-1].timestamp
+        if late:
             self.bus.error_queue.append(ErrorEvent(
                 self.instance_id, index,
                 f"event at {event.timestamp} ms precedes the last accepted one "
                 f"at {self.events[-1].timestamp} ms: trace events must be "
                 "timestamp-ordered", "prediction",
             ))
-            return None
-        self.events.append(event)
-        self.seen_intrinsic = self.seen_intrinsic or event.is_intrinsic
+        else:
+            self.events.append(event)
+            self.seen_intrinsic = self.seen_intrinsic or event.is_intrinsic
 
         prediction = None
-        if self.seen_intrinsic:
+        if self.seen_intrinsic and not late:
             try:
                 result = traverse(
                     self.trace, self.classifier, self.model, self.limits
@@ -140,7 +149,7 @@ class EfpInstance:
                 self.bus.prediction_queue.append(prediction)
 
         if event.is_intrinsic and event.state in self.model.final_states:
-            self.closed = True
+            self.closed_at = index
             self.label = Outcome.FAIL if event.state == FAIL_STATE else Outcome.END
             try:
                 self.classifier.train_online(self.trace)

@@ -3,15 +3,16 @@
 A collaboration spec describes an ordered backbone of tasks distributed
 over partners: plain tasks emit one intrinsic event, interactions emit a
 consistent pair of events (one per side, same message payload), and
-context sources probabilistically attach sensor readings to steps. The
-bundled default spec models a six-partner supply chain with 48 tasks, 15
-of which are interactions.
+context sources probabilistically attach sensor readings to steps. Event
+types come from the spec's own catalog. The bundled default spec models a
+six-partner supply chain with 48 tasks, 15 of which are interactions.
 
 Fault injection rewrites a configurable fraction of generated traces with
 one of three fault shapes: a diverted step sequence, an inserted alarm
-event, or a shifted payload value. Every injected trace ends in a single
-failure event placed at least two steps after the error manifests, so
-early-warning behavior is measurable.
+event, or a context source's reading shifted out of its normal range (the
+shape holds the spec's source itself). Every injected trace ends in a
+single failure event placed at least two steps after the error manifests,
+so early-warning behavior is measurable.
 """
 
 from __future__ import annotations
@@ -208,15 +209,15 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
 
     Each instance draws from its own seed stream (derived from the spec
     seed and the instance index), so generation is deterministic and
-    order-independent. All traces are labeled as orderly ended.
+    order-independent. A plain task draws all its fields anew; an
+    interaction draws only those the instance does not hold yet. All
+    traces are labeled as orderly ended.
     """
     if not spec.tasks:
         raise DisconnectedSpec("spec has no tasks")
     if n_instances < 1:
         raise ValueError("n_instances must be at least 1")
     catalog = spec.catalog()
-    types = {t.name: catalog.lookup(t.name) for t in spec.tasks}
-    ctx_types = {s.name: catalog.lookup(s.name) for s in spec.context_sources}
     attachments: dict[str, list[ContextSource]] = {}
     for source in spec.context_sources:
         for step in source.attach:
@@ -230,12 +231,12 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
         fields: dict[str, object] = {}
         events = []
 
-        def emit(event_type, partner, visibility, payload=()):
+        def emit(name, partner, visibility, payload=()):
             nonlocal ts
             ts += int(rng.integers(1_000, 30_000))
             events.append(
                 Event(
-                    event_type=event_type,
+                    event_type=catalog.lookup(name),
                     timestamp=ts,
                     global_instance_id=instance_id,
                     partner_id=partner,
@@ -245,37 +246,20 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
             )
 
         for task in spec.tasks:
+            payload = []
+            for fname, dist in task.fields:
+                if not (task.is_interaction and fname in fields):
+                    fields[fname] = dist.draw(rng, i, fields)
+                payload.append(fields[fname])
             if task.is_interaction:
-                payload = []
-                for fname, dist in task.fields:
-                    value = fields.get(fname)
-                    if value is None:
-                        value = dist.draw(rng, i, fields)
-                        fields[fname] = value
-                    payload.append(value)
-                emit(types[task.name], task.partner, Visibility.INTERACTION, payload)
-                emit(
-                    types[task.name],
-                    task.counterparty,
-                    Visibility.INTERACTION,
-                    payload,
-                )
+                for partner in (task.partner, task.counterparty):
+                    emit(task.name, partner, Visibility.INTERACTION, payload)
             else:
-                payload = []
-                for fname, dist in task.fields:
-                    value = dist.draw(rng, i, fields)
-                    fields[fname] = value
-                    payload.append(value)
-                emit(types[task.name], task.partner, task.visibility, payload)
+                emit(task.name, task.partner, task.visibility, payload)
             for source in attachments.get(task.name, ()):
                 if rng.random() < source.fire_prob:
                     reading = float(rng.normal(source.mu, source.sigma))
-                    emit(
-                        ctx_types[source.name],
-                        source.partner,
-                        source.visibility,
-                        (reading,),
-                    )
+                    emit(source.name, source.partner, source.visibility, (reading,))
         traces.append(
             EventTrace(instance_id, tuple(events), outcome_label=Outcome.END)
         )
@@ -359,42 +343,38 @@ class EventFaultShape:
 
 @dataclass(frozen=True)
 class DataFaultShape:
-    """Shift an existing context reading beyond its normal range."""
+    """Shift the reading ``source`` takes after ``at_step`` to
+    ``shift_sigmas`` standard deviations above its mean, inserting the
+    reading (from the source's partner, with its visibility) where the
+    source did not fire."""
 
-    target_context: str
+    source: ContextSource
     at_step: str
-    field_name: str
-    mu: float
-    sigma: float
     shift_sigmas: float
-    partner: str
-    visibility: Visibility
     steps_to_failure: int
 
     anchor = property(lambda self: self.at_step)
 
-    @property
-    def shifted_value(self) -> float:
-        return self.mu + self.shift_sigmas * self.sigma
-
     def apply(self, trace: EventTrace, rng) -> EventTrace:
+        source = self.source
+        shifted = (source.mu + self.shift_sigmas * source.sigma,)
         at = _find_state(trace, self.at_step)
         target = None
         for i in range(at + 1, len(trace.events)):
             event = trace.events[i]
-            if event.event_type.name == self.target_context:
+            if event.event_type.name == source.name:
                 target = i
                 break
             if event.is_intrinsic:
                 break  # the reading belongs right after the step
         events = list(trace.events)
         if target is not None:
-            events[target] = replace(events[target], payload=(self.shifted_value,))
+            events[target] = replace(events[target], payload=shifted)
         else:
             reading_type = EventType(
                 EventKind.CONTEXT,
-                self.target_context,
-                ((self.field_name, FieldKind.NUMERIC),),
+                source.name,
+                ((source.field_name, FieldKind.NUMERIC),),
             )
             insert_ts = events[at].timestamp + int(rng.integers(500, 2_000))
             events.insert(
@@ -405,16 +385,16 @@ class DataFaultShape:
                     if at + 1 < len(events)
                     else insert_ts,
                     global_instance_id=trace.instance_id,
-                    partner_id=self.partner,
-                    visibility=self.visibility,
-                    payload=(self.shifted_value,),
+                    partner_id=source.partner,
+                    visibility=source.visibility,
+                    payload=shifted,
                 ),
             )
             target = at + 1
         kept = events[: target + 1] + _keep_until(
             replace(trace, events=tuple(events)), target + 1, self.steps_to_failure
         )
-        return _fail(trace, kept, target, self.partner)
+        return _fail(trace, kept, target, source.partner)
 
 
 @dataclass(frozen=True)
@@ -675,10 +655,7 @@ def default_fault_plan(
             raise ValueError(f"spec {spec.name!r} has no 'temperature' "
                              "context source for data faults")
         shapes[DATA_FAULT] = DataFaultShape(
-            target_context="temperature", at_step="transport_leg_1",
-            field_name=temperature.field_name, mu=temperature.mu,
-            sigma=temperature.sigma, shift_sigmas=6.0,
-            partner="carrier", visibility=temperature.visibility,
+            temperature, at_step="transport_leg_1", shift_sigmas=6.0,
             steps_to_failure=2,
         )
     if rate > 0:

@@ -123,10 +123,11 @@ def read_xes(source: bytes) -> ParsedLog:
     """Parse an XES document, given as bytes, into traces.
 
     The first event of each name gives that name's type (see
-    :func:`_infer_type`), later events must conform to it (``SchemaError``
-    otherwise), and the catalog is :func:`~efp.events.catalog_of` the
-    inferred types; a second failure type is a ``SchemaError``. Traces with
-    zero events are dropped and counted in ``empty_dropped``.
+    :func:`_infer_type`), later events must conform to it in kind and
+    payload fields (``SchemaError`` otherwise), and the catalog is
+    :func:`~efp.events.catalog_of` the inferred types; a second failure type
+    is a ``SchemaError``. Traces with zero events are dropped and counted in
+    ``empty_dropped``.
     """
     try:
         # Parsing a stream peaks lower in memory than ``fromstring`` does.
@@ -203,6 +204,12 @@ def _infer_type(attrs: dict[str, str], tags: dict[str, str]) -> EventType:
 def _build_event(attrs: dict[str, str], instance_id: str,
                  et: EventType) -> Event:
     name = et.name
+    kind = attrs.get("efp:kind", "step")
+    if kind != et.kind.value:
+        raise SchemaError(
+            f"event {name!r} has kind {kind!r}, but its name was first read "
+            f"as {et.kind.value!r}"
+        )
     payload = []
     for fname, fkind in et.data_schema:
         if fname not in attrs:

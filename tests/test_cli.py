@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -402,6 +404,107 @@ def test_run_reports_training_errors_apart(training_and_input_logs,
         "warning: 40 training errors (first: case-00000 event 22: "
         "training broke)",
     ]
+
+
+def test_run_counts_a_failure_whose_failure_event_is_late(
+        tmp_path, training_and_input_logs, monkeypatch):
+    # The bus refuses the late failure event but still closes the instance
+    # as failed; its lead time is measured to the index the event would
+    # have taken.
+    train, _ = training_and_input_logs
+    traces = list(read_xes(train.read_bytes()).traces)
+    late = [t for t in traces if t.outcome_label is Outcome.FAIL][-1]
+    closing = len(late.events) - 1
+
+    def replay_with_late_failure(traces, classifier, model, limits, bus):
+        for trace in traces:
+            bus.start_instance(trace.instance_id, classifier, model, limits)
+            events = list(trace.events)
+            if trace.instance_id == late.instance_id:
+                events[-1] = replace(events[-1],
+                                     timestamp=events[-2].timestamp - 1)
+            for event in events:
+                bus.publish(event)
+        return list(bus.prediction_queue)
+
+    on_time, delayed = tmp_path / "on_time.tsv", tmp_path / "late.tsv"
+    assert run_cli("run", "--in", str(train), "--out", str(on_time)) == 0
+    monkeypatch.setattr("efp.cli.replay", replay_with_late_failure)
+    assert run_cli("run", "--in", str(train), "--out", str(delayed)) == 0
+    # The one line missing is the certain prediction at the failure event.
+    expected = on_time.read_text().splitlines()
+    expected.remove(f"{late.instance_id}\t{closing}\t1.0000\t1.0000\t1.0000")
+    assert delayed.read_text().splitlines() == expected
+    assert "# instances 40, failures 19" in expected
+
+
+@pytest.mark.parametrize("flags,model,message", [
+    (("--max-depth", "0"), None, "depth and breadth limits must be at least 1"),
+    (("--min-probability", "1.5"), None, "min_probability must lie in [0, 1]"),
+    ((), "A B C\n", "model line 1: cannot parse 'A B C'"),
+    ((), "final B\nA B\n", "model file lacks an 'initial' line"),
+], ids=["max-depth", "min-probability", "model-line", "model-initial"])
+def test_run_rejects_bad_limits_and_models(tmp_path, training_and_input_logs,
+                                           capsys, flags, model, message):
+    _, infile = training_and_input_logs
+    if model is not None:
+        (tmp_path / "model.txt").write_text(model, encoding="utf-8")
+        flags = ("--model", str(tmp_path / "model.txt"))
+    assert run_cli("run", "--in", str(infile), "--out", str(tmp_path / "p.tsv"),
+                   *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _with_last_close_order_as_failure(xes: bytes) -> bytes:
+    head, name, tail = xes.rpartition(b'value="close_order"/>')
+    return head + name + tail.replace(b'value="step"', b'value="failure"', 1)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda xes: re.sub(rb'(key="time:timestamp" value=")[^"]*', rb"\1garbage",
+                        xes, count=1),
+     "bad timestamp 'garbage'"),
+    (_with_last_close_order_as_failure,
+     "event 'close_order' has kind 'failure', but its name was first read "
+     "as 'step'"),
+], ids=["timestamp", "kind"])
+def test_run_rejects_malformed_events(tmp_path, training_and_input_logs,
+                                      capsys, edit, message):
+    _, infile = training_and_input_logs
+    bad = tmp_path / "bad.xes"
+    bad.write_bytes(edit(infile.read_bytes()))
+    assert run_cli("run", "--in", str(bad)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_reads_a_timestamp_without_zone_as_utc(tmp_path,
+                                                   training_and_input_logs,
+                                                   capsys):
+    _, infile = training_and_input_logs
+    xes = infile.read_bytes()
+    assert xes.count(b'+00:00"') > 0
+    zoneless = tmp_path / "zoneless.xes"
+    zoneless.write_bytes(xes.replace(b'+00:00"', b'"'))
+    outputs = []
+    for log in (infile, zoneless):
+        assert run_cli("run", "--in", str(log)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bogus y", "unknown directive 'bogus'"),
+    ("context temp shop public v=uniform:1,2 attach=a",
+     "context sources use normal:mu,sigma"),
+], ids=["directive", "context-dist"])
+def test_simulate_rejects_bad_spec_lines(tmp_path, capsys, line, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"name bad\npartner shop\ntask a shop private\n{line}\n",
+                    encoding="utf-8")
+    assert run_cli("simulate", "--spec", str(spec), "--n", "2",
+                   "--out", str(tmp_path / "x.xes")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.xes").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])

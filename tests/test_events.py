@@ -74,6 +74,14 @@ def test_trace_requires_sorted_timestamps(order_catalog):
         EventTrace("x", events)
 
 
+def test_trace_and_event_require_their_instance(order_catalog):
+    a = order_catalog.lookup("A")
+    with pytest.raises(ValueError, match="share instance_id"):
+        EventTrace("x", (Event(a, 0, "x", "p"), Event(a, 1, "y", "p")))
+    with pytest.raises(ValueError, match="global_instance_id must be non-empty"):
+        Event(a, 0, "", "p")
+
+
 def test_failure_event_maps_to_fail_state(order_catalog):
     trace = make_trace(order_catalog, ["A", "failure"])
     assert trace.states == ("A", FAIL_STATE)

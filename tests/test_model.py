@@ -161,6 +161,20 @@ def test_fail_state_has_no_outgoing_edges():
         )
 
 
+@pytest.mark.parametrize("initial,allowed,message", [
+    ("A", {("A", "Z")}, r"edge \('A', 'Z'\) references unknown state"),
+    ("Z", set(), "initial state must be a model state"),
+], ids=["edge", "initial"])
+def test_model_rejects_unknown_states(initial, allowed, message):
+    with pytest.raises(ValueError, match=message):
+        ProcessModel(
+            states=frozenset({"A", "B"}),
+            initial_state=initial,
+            final_states=frozenset({"B"}),
+            allowed=frozenset(allowed | {("A", "B")}),
+        )
+
+
 def test_model_file_round_trip(order_model):
     text = write_model(order_model)
     model = read_model(text)

@@ -205,9 +205,9 @@ def test_late_event_is_refused_and_the_instance_carries_on(order_catalog,
     assert not instance.closed
 
 
-def test_late_event_in_a_generated_instance_costs_one_error():
-    # One event 1 ms out of order used to turn every later prediction of
-    # its instance into an error, and the instance was never trained on.
+def _publish_late(late):
+    """Publish ``case-00025`` of a generated faulty log with event ``late``
+    moved to 1 ms before the event that precedes it."""
     spec = default_spec(1)
     traces = inject_faults(generate(spec, 30), default_fault_plan(spec, 0.5),
                            seed=2)
@@ -217,19 +217,49 @@ def test_late_event_in_a_generated_instance_costs_one_error():
     model = mine_model(traces)
     [trace] = [t for t in traces if t.instance_id == "case-00025"]
     events = list(trace.events)
-    events[5] = replace(events[5], timestamp=events[4].timestamp - 1)
+    events[late] = replace(events[late], timestamp=events[late - 1].timestamp - 1)
     assert len(events) == 68
 
     bus = Bus()
     instance = bus.start_instance(trace.instance_id, classifier, model)
     for event in events:
         bus.publish(event)
-    assert len(bus.prediction_queue) == 67
     [error] = bus.error_queue
-    assert (error.at_event_index, error.stage) == (5, "prediction")
+    assert (error.at_event_index, error.stage) == (late, "prediction")
+    assert len(bus.prediction_queue) == 67
     assert instance.closed and instance.label is trace.outcome_label
     assert classifier.trained_traces == 21
-    assert instance.events == events[:5] + events[6:]
+    assert instance.events == events[:late] + events[late + 1:]
+    return trace, instance
+
+
+def test_late_event_in_a_generated_instance_costs_one_error():
+    # One event 1 ms out of order used to turn every later prediction of
+    # its instance into an error, and the instance was never trained on.
+    _publish_late(5)
+
+
+def test_late_closing_event_still_closes_its_instance():
+    # The refused ``close_order`` closes, labels and trains the instance.
+    trace, instance = _publish_late(67)
+    assert trace.events[67].state == "close_order"
+    assert instance.label is Outcome.END
+    assert instance.closed_at == 67
+
+
+def test_late_failure_event_closes_as_failed(order_catalog, chain_setup):
+    model, _ = chain_setup
+    recorder = Recorder(order_catalog)
+    bus = Bus()
+    instance = bus.start_instance("i1", recorder, model)
+    for name, ts in (("A", 0), ("B", 1_000), ("failure", 999)):
+        bus.publish(_event(order_catalog, name, ts, "i1"))
+    assert instance.closed_at == 2 and instance.label is Outcome.FAIL
+    [error] = bus.error_queue
+    assert (error.at_event_index, error.stage) == (2, "prediction")
+    [trained] = recorder.trained
+    assert trained.states == ("A", "B")
+    assert trained.outcome_label is Outcome.FAIL
 
 
 def test_classifier_failure_publishes_error_and_keeps_instance(order_catalog,

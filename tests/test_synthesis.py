@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,6 +318,8 @@ def test_data_fault_shifts_in_place_or_inserts():
     spec = default_spec(23)
     traces = generate(spec, 30)
     plan = default_fault_plan(spec, 1.0, (DATA_FAULT,))
+    [temperature] = [s for s in spec.context_sources if s.name == "temperature"]
+    assert plan.shapes[0].source is temperature
     injected = inject_faults(traces, plan, seed=2)
     shifted_in_place = inserted = 0
     for clean, out in zip(traces, injected):
@@ -328,6 +331,8 @@ def test_data_fault_shifts_in_place_or_inserts():
         )
         err = out.events[out.error_index]
         assert err.event_type.name == "temperature"
+        assert err.payload == (temperature.mu + 6.0 * temperature.sigma,)
+        assert (err.partner_id, out.events[-1].partner_id) == ("carrier",) * 2
         if had_reading:
             shifted_in_place += 1
             assert err.timestamp == clean.events[leg1 + 1].timestamp
@@ -345,6 +350,17 @@ def test_plan_mismatch_raises():
     )
     with pytest.raises(PlanMismatch):
         inject_faults(traces, plan, seed=0)
+
+
+@pytest.mark.parametrize("fault_type", [DATA_FAULT, EVENT_FAULT])
+def test_trace_too_short_for_the_failure_point(fault_type):
+    spec = default_spec(3)
+    [shape] = default_fault_plan(spec, 1.0, (fault_type,)).shapes
+    [clean] = generate(spec, 1)
+    at = next(i for i, e in enumerate(clean.events) if e.state == shape.anchor)
+    cut = replace(clean, events=clean.events[: at + 1])
+    with pytest.raises(PlanMismatch, match="too short for the failure point"):
+        shape.apply(cut, np.random.default_rng(0))
 
 
 def test_fault_plan_validation():

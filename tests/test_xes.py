@@ -104,6 +104,32 @@ def test_missing_concept_name_raises():
         read_xes(xml)
 
 
+def test_missing_timestamp_raises():
+    xml = b"""<log><trace><event>
+      <string key="concept:name" value="A"/>
+    </event></trace></log>"""
+    with pytest.raises(ParseError, match="event 'A' lacks time:timestamp"):
+        read_xes(xml)
+
+
+@pytest.mark.parametrize("first, later", [
+    ("step", "failure"), ("context", "step"), (None, "context"),
+])
+def test_later_event_must_match_inferred_kind(first, later):
+    # ``efp:kind`` absent reads as ``step``.
+    def event(kind, second):
+        kind_attr = f'<string key="efp:kind" value="{kind}"/>' if kind else ""
+        return (f'<event><string key="concept:name" value="x"/>'
+                f'<date key="time:timestamp" value="2021-01-01T00:00:0{second}'
+                f'.000+00:00"/>{kind_attr}</event>')
+
+    xml = f"<log><trace>{event(first, 0)}{event(later, 1)}</trace></log>"
+    message = (f"event 'x' has kind '{later}', but its name was first read "
+               f"as '{first or 'step'}'")
+    with pytest.raises(SchemaError, match=message):
+        read_xes(xml.encode())
+
+
 @pytest.mark.parametrize("later_schema, message", [
     ((), "event 'temp' lacks payload field 'reading'"),
     ((("reading", FieldKind.NUMERIC), ("extra", FieldKind.NUMERIC)),
