@@ -110,10 +110,10 @@ class EfpInstance:
         )
 
     def on_event(self, event: Event) -> PredictionEvent | None:
-        if self.closed:
+        if self.closed_at is not None:
             return None
         index = len(self.events)
-        late = bool(self.events) and event.timestamp < self.events[-1].timestamp
+        late = index > 0 and event.timestamp < self.events[-1].timestamp
         if late:
             self.bus.error_queue.append(ErrorEvent(
                 self.instance_id, index,
