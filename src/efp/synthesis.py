@@ -9,10 +9,12 @@ six-partner supply chain with 48 tasks, 15 of which are interactions.
 
 Fault injection rewrites a configurable fraction of generated traces with
 one of three fault shapes: a diverted step sequence, an inserted alarm
-event, or a context source's reading shifted out of its normal range (the
-shape holds the spec's source itself). Every injected trace ends in a
-single failure event placed at least two steps after the error manifests,
-so early-warning behavior is measurable.
+reading, or a context source's reading shifted out of its normal range.
+Both context faults hold a :class:`ContextSource` (the alarm's own, or the
+spec's) and build their readings from it, as the spec's catalog builds
+its context types. Every injected trace ends in a single failure event
+placed at least two steps after the error manifests, so early-warning
+behavior is measurable.
 """
 
 from __future__ import annotations
@@ -125,7 +127,11 @@ class Task:
 
 @dataclass(frozen=True)
 class ContextSource:
-    """Sensor-style source firing after the steps it is attached to."""
+    """Sensor-style source firing after the steps it is attached to.
+
+    One numeric field, drawn from ``normal(mu, sigma)``; a source attached
+    to no step (a fault's alarm) fires only where a fault inserts it.
+    """
 
     name: str
     partner: str
@@ -133,8 +139,25 @@ class ContextSource:
     field_name: str
     mu: float
     sigma: float
-    fire_prob: float
-    attach: tuple[str, ...]
+    fire_prob: float = 1.0
+    attach: tuple[str, ...] = ()
+
+    @property
+    def event_type(self) -> EventType:
+        return EventType(
+            EventKind.CONTEXT, self.name, ((self.field_name, FieldKind.NUMERIC),)
+        )
+
+    def reading(self, instance_id: str, timestamp: int, value: float) -> Event:
+        """The source's reading ``value`` in one instance."""
+        return Event(
+            event_type=self.event_type,
+            timestamp=timestamp,
+            global_instance_id=instance_id,
+            partner_id=self.partner,
+            visibility=self.visibility,
+            payload=(value,),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,12 +203,7 @@ class CollaborationSpec:
         for task in self.tasks:
             schema = tuple((f, d.field_kind) for f, d in task.fields)
             intrinsic.append(EventType(EventKind.STEP, task.name, schema))
-        context = tuple(
-            EventType(
-                EventKind.CONTEXT, s.name, ((s.field_name, FieldKind.NUMERIC),)
-            )
-            for s in self.context_sources
-        )
+        context = tuple(s.event_type for s in self.context_sources)
         return EventCatalog(intrinsic=tuple(intrinsic), context=context)
 
     def ground_truth_edges(self) -> frozenset[tuple[str, str]]:
@@ -301,44 +319,28 @@ class StepFaultShape:
 
 @dataclass(frozen=True)
 class EventFaultShape:
-    """Fire an alarm context event at the error step."""
+    """Fire ``alarm`` right after the error step; the failure follows
+    ``steps_to_failure`` steps later, reported by the alarm's partner."""
 
     error_step: str
-    alarm_name: str
-    alarm_field: str
-    alarm_mu: float
-    alarm_sigma: float
-    partner: str
-    visibility: Visibility
+    alarm: ContextSource
     steps_to_failure: int
 
     anchor = property(lambda self: self.error_step)
 
     def apply(self, trace: EventTrace, rng) -> EventTrace:
+        alarm = self.alarm
         at = _find_state(trace, self.error_step)
         events = list(trace.events[: at + 1])
-        alarm_type = EventType(
-            EventKind.CONTEXT,
-            self.alarm_name,
-            ((self.alarm_field, FieldKind.NUMERIC),),
-        )
         ts = events[-1].timestamp + int(rng.integers(500, 5_000))
-        events.append(
-            Event(
-                event_type=alarm_type,
-                timestamp=ts,
-                global_instance_id=trace.instance_id,
-                partner_id=self.partner,
-                visibility=self.visibility,
-                payload=(float(rng.normal(self.alarm_mu, self.alarm_sigma)),),
-            )
-        )
+        value = float(rng.normal(alarm.mu, alarm.sigma))
+        events.append(alarm.reading(trace.instance_id, ts, value))
         error_index = len(events) - 1
         tail = _keep_until(trace, at + 1, self.steps_to_failure)
         shifted = ts - trace.events[at].timestamp
         for event in tail:
             events.append(replace(event, timestamp=event.timestamp + shifted))
-        return _fail(trace, events, error_index, self.partner)
+        return _fail(trace, events, error_index, alarm.partner)
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ class DataFaultShape:
 
     def apply(self, trace: EventTrace, rng) -> EventTrace:
         source = self.source
-        shifted = (source.mu + self.shift_sigmas * source.sigma,)
+        shifted = source.mu + self.shift_sigmas * source.sigma
         at = _find_state(trace, self.at_step)
         target = None
         for i in range(at + 1, len(trace.events)):
@@ -369,27 +371,12 @@ class DataFaultShape:
                 break  # the reading belongs right after the step
         events = list(trace.events)
         if target is not None:
-            events[target] = replace(events[target], payload=shifted)
+            events[target] = replace(events[target], payload=(shifted,))
         else:
-            reading_type = EventType(
-                EventKind.CONTEXT,
-                source.name,
-                ((source.field_name, FieldKind.NUMERIC),),
-            )
-            insert_ts = events[at].timestamp + int(rng.integers(500, 2_000))
-            events.insert(
-                at + 1,
-                Event(
-                    event_type=reading_type,
-                    timestamp=min(insert_ts, events[at + 1].timestamp)
-                    if at + 1 < len(events)
-                    else insert_ts,
-                    global_instance_id=trace.instance_id,
-                    partner_id=source.partner,
-                    visibility=source.visibility,
-                    payload=shifted,
-                ),
-            )
+            ts = events[at].timestamp + int(rng.integers(500, 2_000))
+            if at + 1 < len(events):
+                ts = min(ts, events[at + 1].timestamp)
+            events.insert(at + 1, source.reading(trace.instance_id, ts, shifted))
             target = at + 1
         kept = events[: target + 1] + _keep_until(
             replace(trace, events=tuple(events)), target + 1, self.steps_to_failure
@@ -628,24 +615,18 @@ def default_fault_plan(
             alt_path=("repack_parcel", "relabel_parcel"),
             partner="shop",
         )
-        event = EventFaultShape(
-            error_step="drive_route", alarm_name="breakdown_alarm",
-            alarm_field="severity", alarm_mu=5.0, alarm_sigma=1.0,
-            partner="courier", visibility=Visibility.PUBLIC,
-            steps_to_failure=1,
-        )
+        event = EventFaultShape("drive_route", ContextSource(
+            "breakdown_alarm", "courier", Visibility.PUBLIC, "severity", 5.0, 1.0,
+        ), steps_to_failure=1)
     else:
         step = StepFaultShape(
             divert_after="select_supplier",
             alt_path=("escalate_order", "manual_sourcing", "emergency_purchase"),
             partner="middleman",
         )
-        event = EventFaultShape(
-            error_step="load_cargo", alarm_name="temperature_alarm",
-            alarm_field="excess", alarm_mu=8.0, alarm_sigma=1.0,
-            partner="carrier", visibility=Visibility.PUBLIC,
-            steps_to_failure=2,
-        )
+        event = EventFaultShape("load_cargo", ContextSource(
+            "temperature_alarm", "carrier", Visibility.PUBLIC, "excess", 8.0, 1.0,
+        ), steps_to_failure=2)
     shapes = {STEP_FAULT: step, EVENT_FAULT: event}
     if DATA_FAULT in fault_types:
         temperature = next(
@@ -734,7 +715,7 @@ def read_spec(text: str) -> CollaborationSpec:
                 ))
             else:
                 raise SpecFormatError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError, KeyError) as exc:
+        except (IndexError, ValueError, KeyError, SpecFormatError) as exc:
             raise SpecFormatError(f"spec line {lineno}: {raw!r} ({exc})") from exc
     return CollaborationSpec(
         name=name,

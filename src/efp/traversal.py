@@ -61,8 +61,6 @@ NODE_CAP = 10_000
 class OutcomePath:
     """One predicted continuation with its chained probability.
 
-    ``step_probs`` holds the per-step factors whose product (times the
-    certain probability 1 of the recorded history) is ``probability``.
     ``outcome_state`` is the final state reached, or the state at which
     failure was predicted.
     """
@@ -71,23 +69,18 @@ class OutcomePath:
     probability: float
     outcome: Outcome
     outcome_state: str
-    step_probs: tuple[float, ...]
 
 
 def _outcome_path(leaf) -> OutcomePath:
     """The path of a leaf ``(probability, link, outcome, outcome_state)``:
-    its suffix and step factors are read off the parent links."""
+    its suffix is read off the parent links."""
     probability, link, outcome, outcome_state = leaf
-    suffix, step_probs = [], []
+    suffix = []
     while link is not None:
-        link, name, p = link
+        link, name = link
         suffix.append(name)
-        step_probs.append(p)
     suffix.reverse()
-    step_probs.reverse()
-    return OutcomePath(
-        tuple(suffix), probability, outcome, outcome_state, tuple(step_probs)
-    )
+    return OutcomePath(tuple(suffix), probability, outcome, outcome_state)
 
 
 @dataclass(frozen=True)
@@ -98,16 +91,16 @@ class TraversalResult:
     ``failure_mass`` those of the failing ones and ``pruned_mass`` the
     branches the limits cut. The walk records each path as a leaf
     ``(probability, link, outcome, outcome_state)``, where ``link`` is
-    ``(parent_link, state, step_probability)`` and the root's link is
-    ``None``. The leaves are kept most likely first, leaves of equal
-    probability in walk order. Paths are ordered most likely first, ties
-    broken by suffix: ``top_paths(k)`` builds the first ``k`` from the
-    leading leaves, and ``paths``, every path, is built on its first read.
-    The masses, and so ``failure_probability``, never build a path. The
-    leaves take no part in equality or ``repr``: a deep walk's links nest
-    thousands deep. A trace already in a final state is ``already_final``:
-    it has no leaves, and ``failure_mass`` carries the certain outcome,
-    1.0 in the failure state and 0.0 in any other.
+    ``(parent_link, state)`` and the root's link is ``None``. The leaves
+    are kept most likely first, leaves of equal probability in walk order.
+    Paths are ordered most likely first, ties broken by suffix:
+    ``top_paths(k)`` builds the first ``k`` from the leading leaves, and
+    ``paths``, every path, is built on its first read. The masses, and so
+    ``failure_probability``, never build a path. The leaves take no part
+    in equality or ``repr``: a deep walk's links nest thousands deep. A
+    trace already in a final state is ``already_final``: it has no leaves,
+    and ``failure_mass`` carries the certain outcome, 1.0 in the failure
+    state and 0.0 in any other.
     """
 
     explored_mass: float
@@ -249,9 +242,9 @@ class _Walker:
                 if rank >= max_breadth or depth > max_depth:
                     pruned += p_child
                 elif name == FAIL_STATE:
-                    leaves.append((p_child, (link, name, p), Outcome.FAIL, node[1]))
+                    leaves.append((p_child, (link, name), Outcome.FAIL, node[1]))
                 elif name in finals:
-                    leaves.append((p_child, (link, name, p), Outcome.END, name))
+                    leaves.append((p_child, (link, name), Outcome.END, name))
                 elif p_child < min_probability or budget == 0:
                     pruned += p_child
                 else:
@@ -262,7 +255,7 @@ class _Walker:
                         child = links[at] = self.node(*advance(node[0], name), name)
                     stack.append((
                         zip(itertools.count(), child[2], child[3]), child, p_child,
-                        (link, name, p), depth + 1,
+                        (link, name), depth + 1,
                     ))
                     break
             else:

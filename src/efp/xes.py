@@ -126,8 +126,11 @@ def read_xes(source: bytes) -> ParsedLog:
     :func:`_infer_type`), later events must conform to it in kind and
     payload fields (``SchemaError`` otherwise), and the catalog is
     :func:`~efp.events.catalog_of` the inferred types; a second failure type
-    is a ``SchemaError``. Traces with zero events are dropped and counted in
-    ``empty_dropped``.
+    is a ``SchemaError``. A value that does not convert (a payload number,
+    a kind, visibility or outcome, the error index), an event of another
+    instance or one earlier than the event before it is a ``ParseError``
+    naming the trace, the event and the key. Traces with zero events are
+    dropped and counted in ``empty_dropped``.
     """
     try:
         # Parsing a stream peaks lower in memory than ``fromstring`` does.
@@ -148,24 +151,36 @@ def read_xes(source: bytes) -> ParsedLog:
             "efp:instance", "unknown"
         )
         events = []
-        for attrs, tags in raw_events:
-            name = attrs.get("concept:name")
-            if name is None:
-                raise ParseError("event lacks concept:name")
-            et = types.get(name)
-            if et is None:
-                et = types[name] = _infer_type(attrs, tags)
-            events.append(_build_event(attrs, instance_id, et))
-        outcome = meta.get("efp:outcome")
-        error_index = meta.get("efp:error-index")
-        traces.append(
-            EventTrace(
+        try:
+            for attrs, tags in raw_events:
+                name = attrs.get("concept:name")
+                if name is None:
+                    raise ParseError("event lacks concept:name")
+                et = types.get(name)
+                if et is None:
+                    et = types[name] = _infer_type(attrs, tags)
+                event = _build_event(attrs, instance_id, et)
+                if event.global_instance_id != instance_id:
+                    raise ValueError(f"key 'efp:instance': "
+                                     f"{event.global_instance_id!r} is another trace's")
+                if events and event.timestamp < events[-1].timestamp:
+                    raise ValueError("key 'time:timestamp': earlier than the "
+                                     "event before it")
+                events.append(event)
+            traces.append(EventTrace(
                 instance_id=instance_id,
                 events=tuple(events),
-                outcome_label=Outcome(outcome) if outcome else None,
-                error_index=int(error_index) if error_index is not None else None,
-            )
-        )
+                outcome_label=_convert(Outcome, meta, "efp:outcome")
+                if meta.get("efp:outcome") else None,
+                error_index=_convert(int, meta, "efp:error-index")
+                if "efp:error-index" in meta else None,
+            ))
+        except ValueError as exc:
+            where = f"trace {instance_id!r}"
+            if len(events) < len(raw_events):
+                name = raw_events[len(events)][0]["concept:name"]
+                where += f", event {len(events)} {name!r}"
+            raise ParseError(f"{where}: {exc}") from exc
     failures = [t for t in types.values() if t.kind is EventKind.FAILURE]
     if len(failures) > 1:
         raise SchemaError(f"second failure type {failures[1].name!r}")
@@ -183,6 +198,15 @@ def _attributes(element) -> tuple[dict[str, str], dict[str, str]]:
     return attrs, tags
 
 
+def _convert(convert, attrs: dict[str, str], key: str, default=None):
+    """``convert`` of the value of ``key`` (``default`` when absent); its
+    ``ValueError`` names the key."""
+    try:
+        return convert(attrs.get(key, default))
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
+
+
 def _payload_keys(attrs: dict[str, str]) -> list[str]:
     return [k for k in attrs if k not in _RESERVED_EVENT_KEYS]
 
@@ -197,7 +221,7 @@ def _infer_type(attrs: dict[str, str], tags: dict[str, str]) -> EventType:
         for key in _payload_keys(attrs)
     )
     return EventType(
-        EventKind(attrs.get("efp:kind", "step")), attrs["concept:name"], schema
+        _convert(EventKind, attrs, "efp:kind", "step"), attrs["concept:name"], schema
     )
 
 
@@ -214,8 +238,8 @@ def _build_event(attrs: dict[str, str], instance_id: str,
     for fname, fkind in et.data_schema:
         if fname not in attrs:
             raise SchemaError(f"event {name!r} lacks payload field {fname!r}")
-        value = attrs[fname]
-        payload.append(float(value) if fkind is FieldKind.NUMERIC else value)
+        payload.append(_convert(float, attrs, fname)
+                       if fkind is FieldKind.NUMERIC else attrs[fname])
     extra = set(_payload_keys(attrs)) - {f for f, _ in et.data_schema}
     if extra:
         raise SchemaError(f"event {name!r} carries unknown fields {sorted(extra)}")
@@ -226,7 +250,7 @@ def _build_event(attrs: dict[str, str], instance_id: str,
         timestamp=_parse_ts(attrs["time:timestamp"]),
         global_instance_id=attrs.get("efp:instance", instance_id),
         partner_id=attrs.get("org:resource", ""),
-        visibility=Visibility(attrs.get("efp:visibility", "private")),
+        visibility=_convert(Visibility, attrs, "efp:visibility", "private"),
         payload=tuple(payload),
     )
 

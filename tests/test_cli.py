@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -270,6 +271,46 @@ def test_console_entry_point():
     assert "mcc 1.000" in proc.stdout
 
 
+# Every stage of a small pipeline, run in one interpreter through ``main``.
+HASH_SEED_PIPELINE = """
+from efp.cli import main
+for args in (
+    "simulate --n 6 --seed 1 --out clean.xes",
+    "inject --in clean.xes --out log.xes --rate 0.5 --seed 2",
+    "mine --in log.xes --out model.txt",
+    "run --in log.xes --model model.txt --report-paths",
+    "run --in log.xes --classifier recurrent --report-paths",
+    "evaluate --n 40 --k 2 --seed 1 --scenario global,local:carrier --out eval",
+):
+    assert main(args.split()) == 0, args
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # Set iteration order follows PYTHONHASHSEED; one interpreter per seed,
+    # each in its own directory, since ``simulate`` echoes its output path.
+    src = str(Path(efp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PIPELINE], cwd=cwd,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
+        for file in sorted(cwd.rglob("*")):
+            if file.is_file():
+                outputs[str(file.relative_to(cwd))] = file.read_bytes()
+        digests.append({name: hashlib.sha256(data).hexdigest()
+                        for name, data in outputs.items()})
+    assert len(digests[0]) > 7  # both logs, the model and the evaluation files
+    assert digests[0] == digests[1]
+
+
 @pytest.fixture(scope="module")
 def training_and_input_logs(tmp_path_factory):
     """A 40-instance training log with faults (it has steps, such as
@@ -460,6 +501,22 @@ def _with_last_close_order_as_failure(xes: bytes) -> bytes:
     return head + name + tail.replace(b'value="step"', b'value="failure"', 1)
 
 
+def _set_nth(key: bytes, n: int, value: bytes):
+    """An edit that sets the value of the ``n``-th attribute named ``key``."""
+    def edit(xes):
+        found = list(re.finditer(rb'key="' + key + rb'" value="([^"]*)"', xes))[n]
+        return xes[:found.start(1)] + value + xes[found.end(1):]
+    return edit
+
+
+def _with_events_3_and_4_swapped(xes: bytes) -> bytes:
+    """The first trace's events 3 and 4 (the two sides of ``place_order``)
+    with their timestamps swapped."""
+    a, b = list(re.finditer(rb'key="time:timestamp" value="([^"]*)"', xes))[3:5]
+    return (xes[:a.start(1)] + b.group(1) + xes[a.end(1):b.start(1)]
+            + a.group(1) + xes[b.end(1):])
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda xes: re.sub(rb'(key="time:timestamp" value=")[^"]*', rb"\1garbage",
                         xes, count=1),
@@ -467,7 +524,25 @@ def _with_last_close_order_as_failure(xes: bytes) -> bytes:
     (_with_last_close_order_as_failure,
      "event 'close_order' has kind 'failure', but its name was first read "
      "as 'step'"),
-], ids=["timestamp", "kind"])
+    (_set_nth(b"quantity", 0, b"abc"),
+     "trace 'case-00000', event 3 'place_order': key 'quantity': "
+     "could not convert string to float: 'abc'"),
+    (_set_nth(b"efp:visibility", 2, b"secret"),
+     "trace 'case-00000', event 2 'prepare_order': key 'efp:visibility': "
+     "'secret' is not a valid Visibility"),
+    (_set_nth(b"efp:kind", 0, b"bogus"),
+     "trace 'case-00000', event 0 'forecast_demand': key 'efp:kind': "
+     "'bogus' is not a valid EventKind"),
+    (_set_nth(b"efp:outcome", 0, b"maybe"),
+     "trace 'case-00000': key 'efp:outcome': 'maybe' is not a valid Outcome"),
+    (_set_nth(b"efp:instance", 2, b"case-00001"),
+     "trace 'case-00000', event 2 'prepare_order': key 'efp:instance': "
+     "'case-00001' is another trace's"),
+    (_with_events_3_and_4_swapped,
+     "trace 'case-00000', event 4 'place_order': key 'time:timestamp': "
+     "earlier than the event before it"),
+], ids=["timestamp", "kind", "float-value", "visibility-value", "kind-value",
+        "outcome-value", "instance", "timestamp-order"])
 def test_run_rejects_malformed_events(tmp_path, training_and_input_logs,
                                       capsys, edit, message):
     _, infile = training_and_input_logs
@@ -493,9 +568,10 @@ def test_run_reads_a_timestamp_without_zone_as_utc(tmp_path,
 
 
 @pytest.mark.parametrize("line,message", [
-    ("bogus y", "unknown directive 'bogus'"),
+    ("bogus y", "spec line 4: 'bogus y' (unknown directive 'bogus')"),
     ("context temp shop public v=uniform:1,2 attach=a",
-     "context sources use normal:mu,sigma"),
+     "spec line 4: 'context temp shop public v=uniform:1,2 attach=a' "
+     "(context sources use normal:mu,sigma)"),
 ], ids=["directive", "context-dist"])
 def test_simulate_rejects_bad_spec_lines(tmp_path, capsys, line, message):
     spec = tmp_path / "bad.spec"

@@ -200,15 +200,6 @@ def test_traverse_requires_intrinsic_event(order_catalog, order_model,
         traverse(trace, table_stub, order_model)
 
 
-def test_chain_rule_recomputation(order_catalog, order_model, table_stub):
-    trace = make_trace(order_catalog, ["A", "B", "C"])
-    for path in traverse(trace, table_stub, order_model).paths:
-        assert path.probability == pytest.approx(
-            float(np.prod(path.step_probs)), abs=1e-12
-        )
-        assert len(path.step_probs) == len(path.suffix)
-
-
 def test_infeasible_successors_filtered_and_renormalized(order_catalog,
                                                          order_model):
     # Classifier insists on C -> G, which the model forbids.
@@ -244,13 +235,13 @@ def test_failure_probability_interval_arithmetic():
         pruned_mass=0.3,
         failure_mass=0.5,
         leaves=(
-            (0.5, (None, FAIL_STATE, 0.5), Outcome.FAIL, "x"),
-            (0.2, (None, "z", 0.2), Outcome.END, "z"),
+            (0.5, (None, FAIL_STATE), Outcome.FAIL, "x"),
+            (0.2, (None, "z"), Outcome.END, "z"),
         ),
     )
     assert result.paths == (
-        OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL, "x", (0.5,)),
-        OutcomePath(("z",), 0.2, Outcome.END, "z", (0.2,)),
+        OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL, "x"),
+        OutcomePath(("z",), 0.2, Outcome.END, "z"),
     )
     est = failure_probability(result)
     assert (est.p_fail, est.lower, est.upper) == (0.5, 0.5, 0.8)
@@ -534,14 +525,14 @@ def test_a_bad_distribution_raises_and_its_node_is_not_kept(
 
 def reference_traverse(trace, classifier, model, limits):
     """The recursive walk written plainly: one ``OutcomePath`` per leaf,
-    built by copying the suffix and the step factors at every node, pruned
-    mass added up in visiting order, and the masses summed over the paths
-    sorted by (-probability, suffix). Returns (paths, explored mass, pruned
-    mass, failure mass)."""
+    built by copying the suffix at every node, pruned mass added up in
+    visiting order, and the masses summed over the paths sorted by
+    (-probability, suffix). Returns (paths, explored mass, pruned mass,
+    failure mass)."""
     paths = []
     pruned = 0.0
 
-    def expand(cursor, prediction, state, suffix, probs, p_curr):
+    def expand(cursor, prediction, state, suffix, p_curr):
         nonlocal pruned
         depth = len(suffix) + 1
         ranked = reference_candidates(
@@ -554,22 +545,20 @@ def reference_traverse(trace, classifier, model, limits):
                 pruned += p_child
                 continue
             child_suffix = suffix + (name,)
-            child_probs = probs + (p,)
             if name == FAIL_STATE:
                 paths.append(OutcomePath(
-                    child_suffix, p_child, Outcome.FAIL, state, child_probs))
+                    child_suffix, p_child, Outcome.FAIL, state))
             elif name in model.final_states:
                 paths.append(OutcomePath(
-                    child_suffix, p_child, Outcome.END, name, child_probs))
+                    child_suffix, p_child, Outcome.END, name))
             elif p_child < limits.min_probability:
                 pruned += p_child
             else:
                 next_cursor, next_pred = classifier.advance(cursor, name)
-                expand(next_cursor, next_pred, name, child_suffix, child_probs,
-                       p_child)
+                expand(next_cursor, next_pred, name, child_suffix, p_child)
 
     cursor, prediction = classifier.start(trace)
-    expand(cursor, prediction, current_step(trace), (), (), 1.0)
+    expand(cursor, prediction, current_step(trace), (), 1.0)
     paths.sort(key=lambda p: (-p.probability, p.suffix))
     # Added left to right, one rounding each: from Python 3.12 on, ``sum``
     # compensates the rounding of floats.
