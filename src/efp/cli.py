@@ -7,7 +7,9 @@ sweep, or metrics straight from confusion counts via ``--from-matrix``).
 Every randomized subcommand takes an explicit ``--seed`` (falling back to
 the ``EFP_SEED`` environment variable, then 0) and echoes the effective
 seed; outputs are byte-identical across reruns with the same seed.
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Exit codes: 0 success, 2 on a :class:`~efp.errors.UsageError` (a bad
+flag, setting, spec or model file), 1 on any other ``EfpError`` or OS
+error; anything else is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedSpec, EfpError, EmptyLog, SpecFormatError
+from .errors import EfpError, UsageError
 from .evaluation import (
     ConfusionMatrix,
     PipelineConfig,
@@ -51,19 +53,39 @@ RUNTIME_ERROR = 1
 
 
 def _effective_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EFP_SEED")
-    return int(env) if env else 0
+    """``--seed``, else ``EFP_SEED``, else 0: a non-negative integer."""
+    name, value = "--seed", args.seed
+    if value is None:
+        name, value = "EFP_SEED", os.environ.get("EFP_SEED") or "0"
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
+def _read_text(path: str, flag: str) -> str:
+    """The text of the UTF-8 file that ``flag`` names."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{flag} {path}: not UTF-8 ({exc})") from None
 
 
 def _load_spec(value: str):
     if value == "default":
         return default_spec()
-    return read_spec(Path(value).read_text(encoding="utf-8"))
+    return read_spec(_read_text(value, "--spec"))
 
 
-def _check_rate(rate: float) -> float:
+def _check_rate(value) -> float:
+    """``value``, a number or the text of one, as a rate in [0, 1]."""
+    try:
+        rate = float(value)
+    except ValueError:
+        raise UsageError(f"--rate expects numbers, got {value!r}") from None
     if not 0.0 <= rate <= 1.0:
         raise UsageError("--rate must lie in [0, 1]")
     return rate
@@ -146,7 +168,7 @@ def cmd_run(args) -> int:
     catalog = log.catalog
 
     if args.model:
-        model = read_model(Path(args.model).read_text(encoding="utf-8"))
+        model = read_model(_read_text(args.model, "--model"))
     else:
         model = mine_model(traces)
 
@@ -248,14 +270,20 @@ def cmd_evaluate(args) -> int:
     if args.k < 2:
         raise UsageError(f"--k must be at least 2, got {args.k}")
     spec = _load_spec(args.spec)
-    rates = [_check_rate(float(r)) for r in args.rate.split(",")]
+    rates = [_check_rate(r) for r in args.rate.split(",")]
     scenarios = [Scenario.parse(s) for s in args.scenario.split(",")]
+    for scenario in scenarios:
+        if scenario.local and scenario.partner not in spec.partners:
+            raise UsageError(f"--scenario {scenario}: spec {spec.name!r} has "
+                             f"no partner {scenario.partner!r}")
     fault_types = tuple(args.fault_types.split(","))
     # Every plan is checked before the corpus is generated.
     plans = {rate: default_fault_plan(spec, rate, fault_types) for rate in rates}
     config = _config(args, seed)
     # Built once so that a bad classifier setting fails before generation.
     config.classifier_factory(spec.catalog())
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = sweep(
         spec,
         plans.__getitem__,
@@ -266,8 +294,6 @@ def cmd_evaluate(args) -> int:
         config=config,
         seed=seed,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.tsv").write_text(sweep_table(cells), encoding="utf-8")
     for metric in ("precision", "recall", "mcc"):
         (out_dir / f"{metric}.tsv").write_text(
@@ -279,10 +305,6 @@ def cmd_evaluate(args) -> int:
         print(f"rate {cell.rate:g} scenario {cell.scenario}: "
               f"mcc {cell.report.mcc:.3f}")
     return 0
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,11 +389,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, SpecFormatError, EmptyLog, DisconnectedSpec,
-            ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (EfpError, FileNotFoundError) as exc:
+    except (EfpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -2,11 +2,21 @@
 
 Everything raised on purpose derives from :class:`EfpError`, so callers
 (notably the CLI) can separate domain failures from programming errors.
+A :class:`UsageError` is a bad setting, spec or model file: it is also a
+``ValueError``, and the CLI exits 2 on it; it exits 1 on any other
+``EfpError``. Two checks stay plain ``ValueError``s: the event data
+checks of ``Event``, ``EventTrace`` and ``EventCatalog``, which
+``read_xes`` wraps into a :class:`ParseError` naming the event, and
+``predictors.check_distribution``, whose failure is a classifier's bug.
 """
 
 
 class EfpError(Exception):
     """Base class for all domain errors."""
+
+
+class UsageError(EfpError, ValueError):
+    """A setting, spec or model file the program cannot accept."""
 
 
 class NoIntrinsicEvent(EfpError):
@@ -25,7 +35,7 @@ class UnknownPartner(EfpError):
     """A visibility scenario names a partner that emits no event."""
 
 
-class EmptyLog(EfpError):
+class EmptyLog(UsageError):
     """Model mining requires at least one trace with an intrinsic event."""
 
 
@@ -49,7 +59,7 @@ class DimensionMismatch(EfpError):
     """Classifier was initialized against a different catalog."""
 
 
-class DisconnectedSpec(EfpError):
+class DisconnectedSpec(UsageError):
     """Collaboration spec has no path from the initial to a final task."""
 
 
@@ -73,5 +83,5 @@ class EmptyMatrix(EfpError):
     """Metrics are undefined on an all-zero confusion matrix."""
 
 
-class SpecFormatError(EfpError):
+class SpecFormatError(UsageError):
     """Collaboration spec file or model file could not be parsed."""

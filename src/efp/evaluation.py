@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyMatrix, InsufficientData
+from .errors import EmptyMatrix, InsufficientData, UsageError
 from .events import (
     EventCatalog,
     EventKind,
@@ -214,7 +214,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
+            raise UsageError("threshold must lie in (0, 1)")
 
 
 def evaluate_split(
@@ -257,12 +257,12 @@ def cross_validate(
     """Shuffled k-fold cross validation with a fixed seed.
 
     Folds whose train or test part contains a single class are skipped
-    and recorded in the report. Raises ``ValueError`` when ``k < 2`` and
+    and recorded in the report. Raises ``UsageError`` when ``k < 2`` and
     ``InsufficientData`` when fewer than ``k`` labeled traces or only one
     class is present overall.
     """
     if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+        raise UsageError(f"k must be at least 2, got {k}")
     labeled = [t for t in traces if t.outcome_label is not None]
     if len(labeled) < k:
         raise InsufficientData(f"need at least k={k} labeled traces")

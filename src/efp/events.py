@@ -10,7 +10,7 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .errors import SchemaError, UnknownPartner
+from .errors import SchemaError, UnknownPartner, UsageError
 
 #: Canonical identifier of the failure state. Traces never carry this name
 #: directly; events of kind FAILURE map onto it.
@@ -207,7 +207,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.local and not self.partner:
-            raise ValueError("local scenarios require a partner id")
+            raise UsageError("local scenarios require a partner id")
 
     @classmethod
     def parse(cls, text: str) -> "Scenario":
@@ -222,7 +222,7 @@ class Scenario:
             return cls(drop_context=True)
         if head == "nocontext-local":
             return cls(local=True, drop_context=True, partner=partner)
-        raise ValueError(f"unknown scenario {text!r}")
+        raise UsageError(f"unknown scenario {text!r}")
 
     def __str__(self) -> str:
         if self.local:

@@ -11,7 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyLog, NoIntrinsicEvent, SpecFormatError, UnknownState
+from .errors import (
+    EmptyLog,
+    NoIntrinsicEvent,
+    SpecFormatError,
+    UnknownState,
+    UsageError,
+)
 from .events import FAIL_STATE, EventTrace
 
 
@@ -35,11 +41,11 @@ class ProcessModel:
         )
         for a, b in self.allowed:
             if a not in self.states or b not in self.states:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown state")
+                raise UsageError(f"edge ({a!r}, {b!r}) references unknown state")
         if self.initial_state not in self.states:
-            raise ValueError("initial state must be a model state")
-        if any(a == FAIL_STATE for a, _ in self.allowed):
-            raise ValueError("failure state cannot have outgoing edges")
+            raise UsageError("initial state must be a model state")
+        for edge in self.allowed:
+            _check_edge(*edge)
         object.__setattr__(self, "_successors", _successor_map(self))
 
     def successors(self, source: str) -> frozenset[str]:
@@ -50,6 +56,13 @@ class ProcessModel:
         if source in self.final_states:
             return frozenset()
         return self._successors[source]
+
+
+def _check_edge(a: str, b: str) -> tuple[str, str]:
+    """The edge ``(a, b)``, unless it leaves the failure state."""
+    if a == FAIL_STATE:
+        raise UsageError("failure state cannot have outgoing edges")
+    return a, b
 
 
 def _successor_map(model: ProcessModel) -> dict[str, frozenset[str]]:
@@ -125,6 +138,7 @@ def write_model(model: ProcessModel) -> str:
 
 
 def read_model(text: str) -> ProcessModel:
+    """Parse :func:`write_model`'s format; an error names its line."""
     initial = None
     finals: set[str] = set()
     states: set[str] = set()
@@ -134,17 +148,20 @@ def read_model(text: str) -> ProcessModel:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "initial" and len(parts) == 2:
-            initial = parts[1]
-            states.add(parts[1])
-        elif parts[0] == "final" and len(parts) == 2:
-            finals.add(parts[1])
-            states.add(parts[1])
-        elif len(parts) == 2:
-            edges.add((parts[0], parts[1]))
-            states.update(parts)
-        else:
-            raise SpecFormatError(f"model line {lineno}: cannot parse {line!r}")
+        try:
+            if len(parts) != 2:
+                raise SpecFormatError(f"cannot parse {line!r}")
+            head, state = parts
+            if head == "initial":
+                initial = state
+            elif head == "final":
+                finals.add(state)
+            else:
+                edges.add(_check_edge(head, state))
+                states.add(head)
+            states.add(state)
+        except ValueError as exc:
+            raise SpecFormatError(f"model line {lineno}: {exc}") from exc
     if initial is None:
         raise SpecFormatError("model file lacks an 'initial' line")
     return ProcessModel(

@@ -17,7 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import MissingLabel, UnknownEventType, UntrainedModel
+from .errors import MissingLabel, UnknownEventType, UntrainedModel, UsageError
 from .events import (
     FAIL_STATE,
     Event,
@@ -142,11 +142,11 @@ class FrequencyModel(Classifier):
     def __init__(self, catalog: EventCatalog, window: int = 3, alpha: float = 1.0,
                  bins: int = 8):
         if not math.isfinite(alpha) or alpha <= 0:
-            raise ValueError(f"alpha must be a positive finite number, got {alpha}")
+            raise UsageError(f"alpha must be a positive finite number, got {alpha}")
         if bins < 1:
-            raise ValueError(f"bins must be at least 1, got {bins}")
+            raise UsageError(f"bins must be at least 1, got {bins}")
         if window < 0:
-            raise ValueError(f"window must be non-negative, got {window}")
+            raise UsageError(f"window must be non-negative, got {window}")
         self.catalog = catalog
         self.window = window
         self.alpha = alpha

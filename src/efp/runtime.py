@@ -26,7 +26,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DuplicateInstance, QueueFull
+from .errors import DuplicateInstance, QueueFull, UsageError
 from .events import FAIL_STATE, Event, EventTrace, Outcome
 from .model import ProcessModel
 from .predictors import Classifier
@@ -166,7 +166,7 @@ class Bus:
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
         if capacity < 1:
-            raise ValueError(f"capacity must be at least 1, got {capacity}")
+            raise UsageError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self.queues: dict[str, deque] = {}
         self.instances: dict[str, EfpInstance] = {}

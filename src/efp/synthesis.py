@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DisconnectedSpec, PlanMismatch, SpecFormatError
+from .errors import DisconnectedSpec, PlanMismatch, SpecFormatError, UsageError
 from .events import (
     FAILURE_TYPE,
     Event,
@@ -52,7 +52,9 @@ class Dist:
     Kinds: ``uniform:a,b`` and ``normal:mu,sigma`` (numeric), ``choice``
     over string options and ``tag`` (per-instance identifier) for
     categorical fields, and ``minus_uniform:ref,a,b`` for a numeric value
-    constrained below an earlier field (value = ref - U(a, b)).
+    constrained below an earlier field (value = ref - U(a, b)). Parameters
+    are finite, a uniform range ``b - a`` is finite and non-negative, and a
+    normal sigma is non-negative.
     """
 
     kind: str
@@ -60,6 +62,15 @@ class Dist:
     b: float = 0.0
     options: tuple[str, ...] = ()
     ref: str = ""
+
+    def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise SpecFormatError(f"{self.kind} parameters must be finite")
+        if self.kind.endswith("uniform") and not 0 <= self.b - self.a < np.inf:
+            raise SpecFormatError(f"{self.kind} range {self.a:g},{self.b:g} "
+                                  "must be finite and not descend")
+        if self.kind == "normal" and self.b < 0:
+            raise SpecFormatError("normal sigma must be non-negative")
 
     @property
     def field_kind(self) -> FieldKind:
@@ -77,10 +88,7 @@ class Dist:
         if self.kind == "tag":
             return f"{self.ref}-{instance_index:05d}"
         if self.kind == "minus_uniform":
-            base = earlier.get(self.ref)
-            if base is None:
-                raise SpecFormatError(f"field reference {self.ref!r} undefined")
-            return float(base) - float(rng.uniform(self.a, self.b))
+            return earlier[self.ref] - float(rng.uniform(self.a, self.b))
         raise SpecFormatError(f"unknown distribution kind {self.kind!r}")
 
     def render(self) -> str:
@@ -170,8 +178,10 @@ class CollaborationSpec:
 
     def __post_init__(self):
         names = [t.name for t in self.tasks]
-        if len(names) != len(set(names)):
-            raise SpecFormatError("task names must be unique")
+        types = [FAILURE_TYPE.name, *names, *(s.name for s in self.context_sources)]
+        if len(types) != len(set(types)):
+            raise SpecFormatError("task and context source names must be unique "
+                                  f"and other than {FAILURE_TYPE.name!r}")
         for task in self.tasks:
             if task.partner not in self.partners:
                 raise SpecFormatError(f"unknown partner {task.partner!r}")
@@ -192,6 +202,19 @@ class CollaborationSpec:
                     f"context source {source.name!r} attaches to unknown "
                     f"tasks {sorted(missing)}"
                 )
+        # Mirrors ``generate``: an interaction draws only fields not held yet.
+        drawn: dict[str, FieldKind] = {}
+        for task in self.tasks:
+            for fname, dist in task.fields:
+                if task.is_interaction and fname in drawn:
+                    continue
+                if (dist.kind == "minus_uniform"
+                        and drawn.get(dist.ref) is not FieldKind.NUMERIC):
+                    raise SpecFormatError(
+                        f"task {task.name!r}: field {fname!r} refers to "
+                        f"{dist.ref!r}, no numeric field drawn before it"
+                    )
+                drawn[fname] = dist.field_kind
 
     @property
     def interactions(self) -> tuple[Task, ...]:
@@ -234,7 +257,7 @@ def generate(spec: CollaborationSpec, n_instances: int) -> list[EventTrace]:
     if not spec.tasks:
         raise DisconnectedSpec("spec has no tasks")
     if n_instances < 1:
-        raise ValueError("n_instances must be at least 1")
+        raise UsageError("n_instances must be at least 1")
     catalog = spec.catalog()
     attachments: dict[str, list[ContextSource]] = {}
     for source in spec.context_sources:
@@ -394,9 +417,9 @@ class FaultPlan:
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must lie in [0, 1]")
+            raise UsageError("rate must lie in [0, 1]")
         if not self.shapes:
-            raise ValueError("a fault plan needs at least one shape")
+            raise UsageError("a fault plan needs at least one shape")
 
 
 def inject_faults(
@@ -603,12 +626,12 @@ def default_fault_plan(
     """Plan drawing the requested fault types, in ``fault_types`` order and
     with equal weight, as shapes matched to the bundled specs.
 
-    Raises ``ValueError`` for a name outside :data:`FAULT_TYPES` and, when
+    Raises ``UsageError`` for a name outside :data:`FAULT_TYPES` and, when
     ``rate > 0``, for a shape whose anchor step is not a task of ``spec``.
     """
     for fault_type in fault_types:
         if fault_type not in FAULT_TYPES:
-            raise ValueError(f"unknown fault type {fault_type!r}")
+            raise UsageError(f"unknown fault type {fault_type!r}")
     if spec.name == "minimal":
         step = StepFaultShape(
             divert_after="pack_parcel",
@@ -633,7 +656,7 @@ def default_fault_plan(
             (s for s in spec.context_sources if s.name == "temperature"), None
         )
         if temperature is None:
-            raise ValueError(f"spec {spec.name!r} has no 'temperature' "
+            raise UsageError(f"spec {spec.name!r} has no 'temperature' "
                              "context source for data faults")
         shapes[DATA_FAULT] = DataFaultShape(
             temperature, at_step="transport_leg_1", shift_sigmas=6.0,
@@ -644,7 +667,7 @@ def default_fault_plan(
         for fault_type in fault_types:
             anchor = shapes[fault_type].anchor
             if anchor not in tasks:
-                raise ValueError(f"spec {spec.name!r} has no task {anchor!r} "
+                raise UsageError(f"spec {spec.name!r} has no task {anchor!r} "
                                  f"for {fault_type} faults")
     return FaultPlan(rate, tuple(shapes[t] for t in fault_types))
 
@@ -715,7 +738,7 @@ def read_spec(text: str) -> CollaborationSpec:
                 ))
             else:
                 raise SpecFormatError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError, KeyError, SpecFormatError) as exc:
+        except (IndexError, ValueError, KeyError) as exc:
             raise SpecFormatError(f"spec line {lineno}: {raw!r} ({exc})") from exc
     return CollaborationSpec(
         name=name,

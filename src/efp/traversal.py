@@ -22,6 +22,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
+from .errors import UsageError
 from .events import FAIL_STATE, EventTrace, Outcome
 from .model import ProcessModel, current_step
 from .predictors import Classifier, check_distribution
@@ -38,9 +39,9 @@ class TraversalLimits:
 
     def __post_init__(self):
         if self.max_depth < 1 or self.max_breadth < 1:
-            raise ValueError("depth and breadth limits must be at least 1")
+            raise UsageError("depth and breadth limits must be at least 1")
         if not 0.0 <= self.min_probability <= 1.0:
-            raise ValueError("min_probability must lie in [0, 1]")
+            raise UsageError("min_probability must lie in [0, 1]")
 
 
 UNLIMITED = TraversalLimits(max_depth=100, max_breadth=10_000, min_probability=0.0)
@@ -373,7 +374,7 @@ def classify_instance(
     that is, a failure is predicted; ``memo`` is passed on to
     ``traverse``."""
     if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
+        raise UsageError("threshold must lie in (0, 1)")
     estimate = failure_probability(
         traverse(trace, classifier, model, limits, memo=memo)
     )

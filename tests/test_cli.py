@@ -18,6 +18,23 @@ from efp.model import mine_model
 from efp.predictors import FrequencyModel
 from efp.runtime import Bus, replay
 from efp.traversal import format_report
+from efp.errors import (
+    DisconnectedSpec,
+    EmptyLog,
+    ParseError,
+    SpecFormatError,
+    UsageError,
+)
+from efp.evaluation import PipelineConfig, cross_validate
+from efp.events import Scenario
+from efp.model import ProcessModel
+from efp.synthesis import (
+    FaultPlan,
+    StepFaultShape,
+    default_fault_plan,
+    generate,
+)
+from efp.traversal import TraversalLimits, classify_instance
 
 
 def run_cli(*args):
@@ -686,3 +703,192 @@ def test_unknown_fault_type_is_usage_error(tmp_path, small_log, capsys):
                  ("evaluate", "--n", "30", "--out", str(tmp_path / "eval"))):
         assert run_cli(*args, "--fault-types", "step,bogus") == 2
         assert capsys.readouterr().err == "error: unknown fault type 'bogus'\n"
+
+
+# -- the error's type decides the exit code -----------------------------------
+
+
+def _three_task_spec():
+    from efp.synthesis import CollaborationSpec, Task
+
+    return CollaborationSpec("three", ("shop",), tuple(
+        Task(name, "shop") for name in "abc"))
+
+
+SETTING_CHECKS = {
+    "limits-depth": lambda: TraversalLimits(max_depth=0),
+    "limits-breadth": lambda: TraversalLimits(max_breadth=0),
+    "limits-probability": lambda: TraversalLimits(min_probability=1.5),
+    "classify-threshold": lambda: classify_instance(None, None, None,
+                                                    threshold=1.0),
+    "config-threshold": lambda: PipelineConfig(threshold=0.0),
+    "folds": lambda: cross_validate([], k=1),
+    "alpha": lambda: FrequencyModel(None, alpha=0.0),
+    "bins": lambda: FrequencyModel(None, bins=0),
+    "window": lambda: FrequencyModel(None, window=-1),
+    "capacity": lambda: Bus(capacity=0),
+    "instances": lambda: generate(_three_task_spec(), 0),
+    "plan-rate": lambda: FaultPlan(1.5, (StepFaultShape("a", ("b",), "p"),)),
+    "plan-shapes": lambda: FaultPlan(0.5, ()),
+    "fault-type": lambda: default_fault_plan(_three_task_spec(), 0.5, ("bogus",)),
+    "temperature": lambda: default_fault_plan(_three_task_spec(), 0.5),
+    "anchor": lambda: default_fault_plan(_three_task_spec(), 0.5, ("step",)),
+    "scenario-partner": lambda: Scenario(local=True),
+    "scenario-name": lambda: Scenario.parse("bogus"),
+    "model-edge": lambda: ProcessModel({"a"}, "a", set(), {("a", "z")}),
+    "model-initial": lambda: ProcessModel({"a"}, "z", set(), set()),
+    "model-failure": lambda: ProcessModel({"a"}, "a", set(), {(FAIL_STATE, "a")}),
+}
+
+
+@pytest.mark.parametrize("check", SETTING_CHECKS.values(), ids=SETTING_CHECKS)
+def test_setting_checks_raise_usage_errors(check):
+    # A ``UsageError`` is still a ``ValueError`` to every caller.
+    with pytest.raises(UsageError) as info:
+        check()
+    assert isinstance(info.value, ValueError)
+
+
+def test_spec_model_and_log_config_errors_are_usage_errors():
+    for error in (SpecFormatError, DisconnectedSpec, EmptyLog):
+        assert issubclass(error, UsageError)
+    assert not issubclass(ParseError, UsageError)
+
+
+def test_a_bare_value_error_leaves_main(monkeypatch):
+    # Only a ``UsageError`` means exit 2: any other ``ValueError`` is a bug.
+    def boom(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("efp.cli.cmd_mine", boom)
+    with pytest.raises(ValueError, match="boom"):
+        run_cli("mine", "--in", "x.xes", "--out", "model.txt")
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--in", "{dir}"),
+    ("run", "--in", "{log}", "--out", "{dir}"),
+    ("mine", "--in", "{log}", "--out", "{dir}"),
+    ("simulate", "--n", "2", "--out", "{file}/x.xes"),
+    ("evaluate", "--n", "30", "--out", "{file}"),
+], ids=["run-in-dir", "run-out-dir", "mine-out-dir", "simulate-out-under-file",
+        "evaluate-out-file"])
+def test_os_errors_end_in_one_error_line(tmp_path, training_and_input_logs,
+                                         monkeypatch, capsys, args):
+    _, infile = training_and_input_logs
+    afile = tmp_path / "file"
+    afile.write_text("", encoding="utf-8")
+    # ``evaluate`` makes its output directory before it generates.
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    places = {"dir": tmp_path, "file": afile, "log": infile}
+    assert run_cli(*(a.format(**places) for a in args)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,env,message", [
+    (("--seed", "-1"), None, "--seed must be a non-negative integer, got -1"),
+    ((), "-1", "EFP_SEED must be a non-negative integer, got '-1'"),
+    ((), "abc", "EFP_SEED must be a non-negative integer, got 'abc'"),
+], ids=["flag-negative", "env-negative", "env-non-integer"])
+def test_seeds_are_checked_where_they_enter(tmp_path, monkeypatch, capsys,
+                                            args, env, message):
+    if env is None:
+        monkeypatch.delenv("EFP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("EFP_SEED", env)
+    out = tmp_path / "x.xes"
+    assert run_cli("simulate", "--n", "2", "--out", str(out), *args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_rejects_a_negative_seed_with_either_classifier(
+        tmp_path, training_and_input_logs, capsys):
+    _, infile = training_and_input_logs
+    for classifier in ("frequency", "recurrent"):
+        assert run_cli("run", "--in", str(infile), "--classifier", classifier,
+                       "--seed", "-1", "--out", str(tmp_path / "p.tsv")) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n")
+
+
+def test_evaluate_names_a_rate_that_is_no_number(monkeypatch, capsys):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    assert run_cli("evaluate", "--rate", "0.5,x") == 2
+    assert capsys.readouterr().err == "error: --rate expects numbers, got 'x'\n"
+
+
+def test_files_that_are_not_utf8_name_their_flag(tmp_path,
+                                                 training_and_input_logs,
+                                                 capsys):
+    _, infile = training_and_input_logs
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("name caf\xe9\n".encode("latin-1"))
+    for args, flag in ((("simulate", "--n", "2", "--out", tmp_path / "x.xes",
+                         "--spec", bad), "--spec"),
+                       (("run", "--in", infile, "--model", bad), "--model")):
+        assert run_cli(*map(str, args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {bad}: not UTF-8 (")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old,new,reason", [
+    ("reading=normal:18,2.5", "reading=normal:18,-2.5",
+     "normal sigma must be non-negative"),
+    ("quantity=uniform:10,100", "quantity=uniform:10,inf",
+     "uniform parameters must be finite"),
+    ("deadline=uniform:30,60", "deadline=uniform:30,-1e308",
+     "uniform range 30,-1e+308 must be finite and not descend"),
+], ids=["negative-sigma", "infinite-bound", "descending-range"])
+def test_spec_values_are_checked_on_their_line(tmp_path, capsys, old, new,
+                                               reason):
+    from efp.synthesis import default_spec, write_spec
+
+    lines = write_spec(default_spec()).splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if old in line)
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    spec = tmp_path / "bad.spec"
+    spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("simulate", "--spec", str(spec), "--n", "2",
+                   "--out", str(tmp_path / "x.xes")) == 2
+    assert capsys.readouterr().err == (
+        f"error: spec line {lineno}: {lines[lineno - 1]!r} ({reason})\n")
+
+
+def test_spec_refuses_a_minus_uniform_over_a_categorical_field(tmp_path,
+                                                               capsys):
+    from efp.synthesis import default_spec, write_spec
+
+    text = write_spec(default_spec()).replace("deadline=uniform:30,60",
+                                              "deadline=choice:a|b")
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert run_cli("simulate", "--spec", str(spec), "--n", "2",
+                   "--out", str(tmp_path / "x.xes")) == 2
+    assert capsys.readouterr().err == (
+        "error: task 'announce_delivery': field 'delivery_date' refers to "
+        "'deadline', no numeric field drawn before it\n")
+
+
+def test_evaluate_rejects_an_unknown_local_partner_before_generating(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    for scenario in ("local:nobody", "global,nocontext-local:nobody"):
+        assert run_cli("evaluate", "--scenario", scenario,
+                       "--out", str(tmp_path / "eval")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --scenario {scenario.split(',')[-1]}: spec "
+            "'supply_chain' has no partner 'nobody'\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_model_file_names_the_line_of_an_edge_out_of_the_failure_state(
+        tmp_path, training_and_input_logs, capsys):
+    _, infile = training_and_input_logs
+    model = tmp_path / "model.txt"
+    model.write_text(f"initial a\na b\n{FAIL_STATE} b\n", encoding="utf-8")
+    assert run_cli("run", "--in", str(infile), "--model", str(model)) == 2
+    assert capsys.readouterr().err == (
+        "error: model line 3: failure state cannot have outgoing edges\n")

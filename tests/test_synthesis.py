@@ -375,3 +375,50 @@ def test_dist_round_trip():
                  Dist("choice", options=("x", "y")), Dist("tag", ref="ord"),
                  Dist("minus_uniform", 1, 3, ref="deadline")):
         assert Dist.parse(dist.render()) == dist
+
+
+@pytest.mark.parametrize("dist", [
+    ("uniform", 10.0, float("inf")),
+    ("uniform", float("nan"), 1.0),
+    ("uniform", 100.0, -2.5),
+    ("uniform", -1e308, 1e308),
+    ("minus_uniform", 1.0, float("inf")),
+    ("normal", 18.0, -2.5),
+    ("normal", float("-inf"), 1.0),
+], ids=["inf-bound", "nan-bound", "descending", "overflowing-range",
+        "minus-inf", "negative-sigma", "normal-inf"])
+def test_dist_rejects_parameters_it_cannot_draw_from(dist):
+    kind, a, b = dist
+    with pytest.raises(SpecFormatError):
+        Dist(kind, a, b, ref="x")
+
+
+def _spec_with_fields(*tasks):
+    return CollaborationSpec(name="fields", partners=("a", "b"), tasks=tasks)
+
+
+def test_spec_checks_minus_uniform_references_in_task_order():
+    below = ("late", Dist("minus_uniform", 1, 2, ref="due"))
+    due = ("due", Dist("uniform", 10, 20))
+    # Drawn earlier, in an earlier task or earlier in the same task: fine.
+    _spec_with_fields(Task("t1", "a", fields=(due,)),
+                      Task("t2", "a", fields=(below,)))
+    _spec_with_fields(Task("t1", "a", fields=(due, below)))
+    for tasks in (
+        (Task("t1", "a", fields=(below,)), Task("t2", "a", fields=(due,))),
+        (Task("t1", "a", fields=(("due", Dist("choice", options=("1", "2"))),
+                                 below)),),
+        (Task("t1", "a", fields=(below,)),),
+    ):
+        with pytest.raises(SpecFormatError, match="no numeric field drawn"):
+            _spec_with_fields(*tasks)
+
+
+def test_spec_keeps_event_names_apart():
+    from efp.synthesis import ContextSource
+
+    temp = ContextSource("t1", "a", Visibility.PUBLIC, "v", 0.0, 1.0)
+    for tasks, sources in (((Task("failure", "a"),), ()),
+                           ((Task("t1", "a"),), (temp,))):
+        with pytest.raises(SpecFormatError, match="must be unique"):
+            CollaborationSpec("names", ("a",), tasks, sources)
