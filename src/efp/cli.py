@@ -241,7 +241,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    seed = _effective_seed(args)
     if args.from_matrix:
         parts = []
         for token in args.from_matrix.split(","):
@@ -267,6 +266,7 @@ def cmd_evaluate(args) -> int:
               "means of per-fold metrics; both summaries are valid")
         return 0
 
+    seed = _effective_seed(args)
     if args.k < 2:
         raise UsageError(f"--k must be at least 2, got {args.k}")
     spec = _load_spec(args.spec)

@@ -202,11 +202,18 @@ class CollaborationSpec:
                     f"context source {source.name!r} attaches to unknown "
                     f"tasks {sorted(missing)}"
                 )
-        # Mirrors ``generate``: an interaction draws only fields not held yet.
+        # Mirrors ``generate``: an interaction draws only fields not held
+        # yet, and writes a held one under its own kind.
         drawn: dict[str, FieldKind] = {}
         for task in self.tasks:
             for fname, dist in task.fields:
                 if task.is_interaction and fname in drawn:
+                    if drawn[fname] is not dist.field_kind:
+                        raise SpecFormatError(
+                            f"interaction {task.name!r}: field {fname!r} is "
+                            f"{dist.field_kind.value}, but the instance holds "
+                            f"it as {drawn[fname].value}"
+                        )
                     continue
                 if (dist.kind == "minus_uniform"
                         and drawn.get(dist.ref) is not FieldKind.NUMERIC):

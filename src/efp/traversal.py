@@ -3,12 +3,14 @@
 Starting from the current step, the classifier is queried for a next-step
 distribution, infeasible successors (per the process model) are zeroed
 out and the rest renormalized, and the most likely candidates are expanded
-depth first until a final state or the failure state is reached. Branches
-cut by the depth, breadth, or probability limits are tallied into
-``pruned_mass`` so the failure probability can be reported with honest
-interval bounds. A walk's leaves are sorted once, most likely first: the
-explored and failure masses are added in that order, and the top paths
-are read off the head of that list.
+depth first until a final state is reached; the failure state is one of
+the model's final states. Branches cut by the depth, breadth, or
+probability limits are tallied into ``pruned_mass`` so the failure
+probability can be reported with honest interval bounds. A walk's leaves
+are sorted once, most likely first: the explored and failure masses are
+added in that order, and the top paths are read off the head of that
+list. A path ends in failure exactly when its last step is the failure
+state.
 """
 
 from __future__ import annotations
@@ -60,28 +62,24 @@ NODE_CAP = 10_000
 
 @dataclass(frozen=True)
 class OutcomePath:
-    """One predicted continuation with its chained probability.
-
-    ``outcome_state`` is the final state reached, or the state at which
-    failure was predicted.
-    """
+    """One predicted continuation with its chained probability."""
 
     suffix: tuple[str, ...]
     probability: float
     outcome: Outcome
-    outcome_state: str
 
 
 def _outcome_path(leaf) -> OutcomePath:
-    """The path of a leaf ``(probability, link, outcome, outcome_state)``:
-    its suffix is read off the parent links."""
-    probability, link, outcome, outcome_state = leaf
+    """The path of a leaf ``(probability, link)``: its suffix is read off
+    the parent links, and its outcome off the last step, a final state."""
+    probability, link = leaf
+    outcome = Outcome.FAIL if link[1] == FAIL_STATE else Outcome.END
     suffix = []
     while link is not None:
         link, name = link
         suffix.append(name)
     suffix.reverse()
-    return OutcomePath(tuple(suffix), probability, outcome, outcome_state)
+    return OutcomePath(tuple(suffix), probability, outcome)
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,8 @@ class TraversalResult:
     ``explored_mass`` sums the probabilities of every outcome path,
     ``failure_mass`` those of the failing ones and ``pruned_mass`` the
     branches the limits cut. The walk records each path as a leaf
-    ``(probability, link, outcome, outcome_state)``, where ``link`` is
-    ``(parent_link, state)`` and the root's link is ``None``. The leaves
+    ``(probability, link)``, where ``link`` is ``(parent_link, state)``,
+    the root's link is ``None`` and a leaf's own state is final. The leaves
     are kept most likely first, leaves of equal probability in walk order.
     Paths are ordered most likely first, ties broken by suffix:
     ``top_paths(k)`` builds the first ``k`` from the leading leaves, and
@@ -242,10 +240,8 @@ class _Walker:
                     continue
                 if rank >= max_breadth or depth > max_depth:
                     pruned += p_child
-                elif name == FAIL_STATE:
-                    leaves.append((p_child, (link, name), Outcome.FAIL, node[1]))
                 elif name in finals:
-                    leaves.append((p_child, (link, name), Outcome.END, name))
+                    leaves.append((p_child, (link, name)))
                 elif p_child < min_probability or budget == 0:
                     pruned += p_child
                 else:
@@ -333,9 +329,9 @@ def traverse(
     # (from Python 3.12 on, ``sum`` compensates the rounding of floats).
     # The failing leaves of a descending list are descending too.
     explored = failing = 0.0
-    for probability, _, outcome, _ in leaves:
+    for probability, (_, name) in leaves:
         explored += probability
-        if outcome is Outcome.FAIL:
+        if name == FAIL_STATE:
             failing += probability
     result = TraversalResult(explored, pruned, failing, leaves=tuple(leaves))
     if memo is not None:

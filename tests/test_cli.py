@@ -230,6 +230,17 @@ def test_evaluate_from_matrix_rejects_an_empty_matrix(monkeypatch, capsys):
     assert captured.err == "error: --from-matrix counts must not all be zero\n"
 
 
+def test_evaluate_from_matrix_reads_no_seed(monkeypatch, capsys):
+    monkeypatch.setenv("EFP_SEED", "abc")
+    assert run_cli("evaluate", "--from-matrix", "1,0,0,1") == 0
+    assert capsys.readouterr().out.startswith("precision 1.000\n")
+    # The sweep still refuses the seed, before it generates.
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    assert run_cli("evaluate", "--n", "10") == 2
+    assert capsys.readouterr().err == (
+        "error: EFP_SEED must be a non-negative integer, got 'abc'\n")
+
+
 def test_evaluate_sweep_outputs(tmp_path, capsys):
     out_dir = tmp_path / "eval"
     assert run_cli("evaluate", "--spec", "default", "--n", "80",
@@ -870,6 +881,20 @@ def test_spec_refuses_a_minus_uniform_over_a_categorical_field(tmp_path,
     assert capsys.readouterr().err == (
         "error: task 'announce_delivery': field 'delivery_date' refers to "
         "'deadline', no numeric field drawn before it\n")
+
+
+def test_spec_refuses_an_interaction_field_of_another_kind(tmp_path, capsys):
+    spec = tmp_path / "clash.spec"
+    spec.write_text("name clash\npartner a\npartner b\n"
+                    "task t1 a private x=uniform:1,2\n"
+                    "interaction t2 a b x=choice:p|q\n", encoding="utf-8")
+    out = tmp_path / "x.xes"
+    assert run_cli("simulate", "--spec", str(spec), "--n", "2",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: interaction 't2': field 'x' is categorical, but the instance "
+        "holds it as numeric\n")
+    assert not out.exists()
 
 
 def test_evaluate_rejects_an_unknown_local_partner_before_generating(

@@ -414,6 +414,22 @@ def test_spec_checks_minus_uniform_references_in_task_order():
             _spec_with_fields(*tasks)
 
 
+def test_spec_refuses_an_interaction_field_of_another_kind():
+    numeric = ("x", Dist("uniform", 1, 2))
+    categorical = ("x", Dist("choice", options=("p", "q")))
+    # The same kind, or a plain task drawing the field anew: fine.
+    _spec_with_fields(Task("t1", "a", fields=(numeric,)),
+                      Task("t2", "a", "b", fields=(numeric,)))
+    _spec_with_fields(Task("t1", "a", fields=(numeric,)),
+                      Task("t2", "a", fields=(categorical,)))
+    for first in (Task("t1", "a", fields=(numeric,)),
+                  Task("t1", "a", "b", fields=(numeric,))):
+        with pytest.raises(SpecFormatError, match=(
+                "interaction 't2': field 'x' is categorical, but the "
+                "instance holds it as numeric")):
+            _spec_with_fields(first, Task("t2", "a", "b", fields=(categorical,)))
+
+
 def test_spec_keeps_event_names_apart():
     from efp.synthesis import ContextSource
 

@@ -10,7 +10,7 @@ import pytest
 import efp.traversal
 from efp.errors import NoIntrinsicEvent
 from efp.events import FAIL_STATE, Event, EventTrace, Outcome
-from efp.model import ProcessModel, current_step
+from efp.model import ProcessModel, current_step, mine_model
 from efp.predictors import (
     Classifier,
     FrequencyModel,
@@ -163,15 +163,6 @@ def test_scripted_example_failure_probability(order_catalog, order_model,
     assert classify_instance(trace, table_stub, order_model) is True
 
 
-def test_outcome_states(order_catalog, order_model, table_stub):
-    trace = make_trace(order_catalog, ["A", "B", "C"])
-    result = traverse(trace, table_stub, order_model)
-    by_suffix = {p.suffix: p for p in result.paths}
-    assert by_suffix[("D", FAIL_STATE)].outcome_state == "D"
-    assert by_suffix[(FAIL_STATE,)].outcome_state == "C"
-    assert by_suffix[("E",)].outcome_state == "E"
-
-
 def test_already_final_result(order_catalog, order_model, table_stub):
     trace = make_trace(order_catalog, ["A", "B", "C", "E"])
     result = traverse(trace, table_stub, order_model)
@@ -235,13 +226,13 @@ def test_failure_probability_interval_arithmetic():
         pruned_mass=0.3,
         failure_mass=0.5,
         leaves=(
-            (0.5, (None, FAIL_STATE), Outcome.FAIL, "x"),
-            (0.2, (None, "z"), Outcome.END, "z"),
+            (0.5, (None, FAIL_STATE)),
+            (0.2, ((None, "y"), "z")),
         ),
     )
     assert result.paths == (
-        OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL, "x"),
-        OutcomePath(("z",), 0.2, Outcome.END, "z"),
+        OutcomePath((FAIL_STATE,), 0.5, Outcome.FAIL),
+        OutcomePath(("y", "z"), 0.2, Outcome.END),
     )
     est = failure_probability(result)
     assert (est.p_fail, est.lower, est.upper) == (0.5, 0.5, 0.8)
@@ -546,11 +537,9 @@ def reference_traverse(trace, classifier, model, limits):
                 continue
             child_suffix = suffix + (name,)
             if name == FAIL_STATE:
-                paths.append(OutcomePath(
-                    child_suffix, p_child, Outcome.FAIL, state))
+                paths.append(OutcomePath(child_suffix, p_child, Outcome.FAIL))
             elif name in model.final_states:
-                paths.append(OutcomePath(
-                    child_suffix, p_child, Outcome.END, name))
+                paths.append(OutcomePath(child_suffix, p_child, Outcome.END))
             elif p_child < limits.min_probability:
                 pruned += p_child
             else:
@@ -596,9 +585,10 @@ TIGHTER_LIMITS = (
 )
 
 
-def test_walk_equals_recursive_reference_exactly():
+def random_model_walks():
+    """``(probe, classifier, model, limits)`` over twelve random models,
+    alternately acyclic and cyclic, from every non-final state."""
     rng = np.random.default_rng(2024)
-    compared = 0
     for i in range(12):
         cyclic = i % 2 == 1
         make_model = random_cyclic_model if cyclic else random_dag_model
@@ -610,8 +600,51 @@ def test_walk_equals_recursive_reference_exactly():
         for start in sorted(model.states - model.final_states - {FAIL_STATE}):
             probe = make_trace(catalog, [start], instance_id="probe")
             for lim in limits:
-                compared += assert_walks_agree(probe, classifier, model, lim)
+                yield probe, classifier, model, lim
+
+
+def test_walk_equals_recursive_reference_exactly():
+    compared = 0
+    for probe, classifier, model, lim in random_model_walks():
+        compared += assert_walks_agree(probe, classifier, model, lim)
     assert compared > 1000
+
+
+def test_a_leaf_is_its_probability_and_its_link():
+    outcomes = set()
+    for probe, classifier, model, lim in random_model_walks():
+        result = traverse(probe, classifier, model, lim)
+        for probability, link in result.leaves:
+            assert type(probability) is float and link[1] in model.final_states
+        for path in result.paths:
+            assert (path.outcome is Outcome.FAIL) == (
+                path.suffix[-1] == FAIL_STATE)
+            outcomes.add(path.outcome)
+    assert outcomes == {Outcome.FAIL, Outcome.END}
+
+
+def test_the_walk_stops_at_a_mined_final_state_with_successors():
+    # C ends one training trace and continues another: the mined model
+    # keeps the edge C -> D, yet a walk that reaches C ends there.
+    catalog = make_catalog("ABCD")
+    train = [
+        make_trace(catalog, ["A", "B", "C"], instance_id="short",
+                   label=Outcome.END),
+        make_trace(catalog, ["A", "B", "C", "D"], instance_id="long",
+                   label=Outcome.END),
+        make_trace(catalog, ["A", "B", "failure"], instance_id="failed",
+                   label=Outcome.FAIL),
+    ]
+    model = mine_model(train)
+    assert "C" in model.final_states and ("C", "D") in model.allowed
+    classifier = FrequencyModel(catalog, window=3)
+    classifier.train(train)
+    for start in (["A"], ["A", "B"]):
+        trace = make_trace(catalog, start, instance_id="probe")
+        for limits in (TraversalLimits(), UNLIMITED):
+            assert_walks_agree(trace, classifier, model, limits)
+        result = traverse(trace, classifier, model)
+        assert {p.suffix[-1] for p in result.paths} == {"C", FAIL_STATE}
 
 
 def test_top_paths_ties_straddling_the_cut(order_catalog):
