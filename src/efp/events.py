@@ -184,6 +184,18 @@ class EventTrace:
                 raise ValueError("trace events must be timestamp-ordered")
             last = e.timestamp
 
+    @classmethod
+    def unchecked(cls, instance_id: str, events: tuple[Event, ...],
+                  outcome_label: Outcome | None = None) -> "EventTrace":
+        """A trace of events the caller has checked already, one at a
+        time as each arrived: all carry ``instance_id`` and none precedes
+        the one before it. It skips the constructor's pass over every
+        event, which would make a growing trace's rebuilds quadratic."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(instance_id=instance_id, events=events,
+                              outcome_label=outcome_label, error_index=None)
+        return trace
+
     def __len__(self) -> int:
         return len(self.events)
 

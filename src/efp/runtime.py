@@ -65,9 +65,10 @@ class PredictionEvent:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """Published when the classifier raised or a late event was refused:
-    instead of a prediction (``stage`` ``"prediction"``), or when training
-    on a closed instance's trace failed (``stage`` ``"training"``)."""
+    """Published when the classifier raised or a late event, or one of
+    another instance, was refused: instead of a prediction (``stage``
+    ``"prediction"``), or when training on a closed instance's trace
+    failed (``stage`` ``"training"``)."""
 
     instance_id: str
     at_event_index: int
@@ -82,8 +83,10 @@ class EfpInstance:
     prediction per event once an intrinsic event exists, and closes the
     instance (training the classifier on the completed labeled trace)
     when an intrinsic event reaches a final state. A late event is
-    refused (but still closes the instance if it is a closing event), and
-    events after the close are ignored.
+    refused (but still closes the instance if it is a closing event), so
+    is an event of another instance, and events after the close are
+    ignored. Each event is checked once, as it arrives, so the running
+    trace is rebuilt for each prediction without checking it again.
     """
 
     def __init__(self, bus, instance_id, classifier, model, limits):
@@ -105,14 +108,22 @@ class EfpInstance:
 
     @property
     def trace(self) -> EventTrace:
-        return EventTrace(
-            self.instance_id, tuple(self.events), outcome_label=self.label
+        # ``on_event`` checked each event as it arrived.
+        return EventTrace.unchecked(
+            self.instance_id, tuple(self.events), self.label
         )
 
     def on_event(self, event: Event) -> PredictionEvent | None:
         if self.closed_at is not None:
             return None
         index = len(self.events)
+        if event.global_instance_id != self.instance_id:
+            self.bus.error_queue.append(ErrorEvent(
+                self.instance_id, index,
+                f"event of instance {event.global_instance_id!r} refused: "
+                "all events of a trace must share instance_id", "prediction",
+            ))
+            return None
         late = index > 0 and event.timestamp < self.events[-1].timestamp
         if late:
             self.bus.error_queue.append(ErrorEvent(

@@ -55,8 +55,10 @@ UNLIMITED = TraversalLimits(max_depth=100, max_breadth=10_000, min_probability=0
 MAX_EXPANSIONS = 200_000
 
 # Shared nodes the step cache may keep after a walk; past it the cache is
-# dropped. A node takes about 0.55 KB for a window-3 frequency model and
-# 0.86 KB for a 32-unit recurrent model (tracemalloc, links included).
+# dropped. A node, with its children and links, takes about 0.69 KB for a
+# window-3 frequency model and 0.90 KB for a 32-unit recurrent model
+# (tracemalloc, over walks from every prefix of the seed-1 held-out logs
+# of the online workloads in ``bench/run.py``).
 NODE_CAP = 10_000
 
 
@@ -137,19 +139,20 @@ class _Walker:
     shares its node, so while the classifier's ``version`` holds, each
     node's children are ranked, and each of them advanced, once.
 
-    ``nodes`` maps a context's ``_key`` to a flat tuple ``(cursor, state,
-    names, probs, slot)``: the ranked children's names and probabilities,
-    and an id from an atomic counter; an array cursor is a view of its
-    key's bytes. ``links`` maps the int ``rank << 40 | slot`` to the
+    ``nodes`` maps a context's ``_key`` to its node, the tuple of its
+    ranked children. A child is a flat tuple ``(probability, name,
+    is_final, link, cursor)``: ``link`` is the int ``rank << 40 | slot``,
+    where ``slot`` is the node's id from an atomic counter, and ``cursor``
+    is the node's own, to be advanced by ``name``; an array cursor is a
+    view of its key's bytes. ``links`` maps a child's ``link`` to the
     child's node, one key per ``(slot, rank)`` while fewer than 2**40
     slots are drawn. The collector never tracks ints and untracks tuples
     of atoms once it has seen them, and they form no reference cycle: a
     dropped walker is freed by reference counting, and a walk may go on in
     a walker that another thread has just replaced. Threads agree on a
-    node by ``dict.setdefault``. With its links, a node takes about
-    0.55 KB for a window-3 frequency model and 0.86 KB for a 32-unit
-    recurrent model. The walker holds no reference to its classifier: it
-    keeps the ``version`` and the fixed ``outcomes`` it was built for."""
+    node by ``dict.setdefault``. For a node's size see ``NODE_CAP``. The
+    walker holds no reference to its classifier: it keeps the ``version``
+    and the fixed ``outcomes`` it was built for."""
 
     def __init__(self, classifier: Classifier, model: ProcessModel):
         self.version = classifier.version
@@ -179,85 +182,90 @@ class _Walker:
             self._slot_cache[state] = cached
         return cached
 
-    def candidates(self, probs, state: str):
-        """Feasible successors with renormalized probabilities as Python
-        floats, most likely first; ties broken by state identifier. Each
-        node's prediction is checked here, once, before the node is kept."""
+    def candidates(self, probs, state: str, cursor, slot: int) -> tuple:
+        """The node of context ``(cursor, state)`` with id ``slot``: its
+        feasible successors as children, with renormalized probabilities
+        as Python floats, most likely first; ties broken by state
+        identifier. Each node's prediction is checked here, once, before
+        the node is kept."""
         probs = probs.tolist()
         check_distribution(probs, len(self.outcomes))
         slots, feasible = self.slots(state)
-        entries = [(name, p) for i, name in slots if (p := probs[i]) > 0.0]
+        entries = [(p, name) for i, name in slots if (p := probs[i]) > 0.0]
         total = 0.0  # added in order, one rounding each, as in ``traverse``
-        for _, p in entries:
+        for p, _ in entries:
             total += p
         if total <= 0.0:
             # Classifier assigns no mass to any feasible successor; fall
             # back to a uniform split so probability mass is conserved.
             # The model may allow successors the classifier does not
             # predict (a model read from a file).
-            entries = [(name, 1.0) for name in sorted(feasible)]
+            entries = [(1.0, name) for name in sorted(feasible)]
             total = float(len(entries))
-        entries = [(name, p / total) for name, p in entries]
-        entries.sort(key=lambda item: (-item[1], item[0]))
-        return entries
+        ranked = [(-p / total, name) for p, name in entries]
+        ranked.sort()
+        finals = self.model.final_states
+        return tuple([
+            (-q, name, name in finals, rank << 40 | slot, cursor)
+            for rank, (q, name) in enumerate(ranked)
+        ])
 
-    def node(self, cursor, probs, state: str):
+    def node(self, cursor, probs, state: str) -> tuple:
         key = _key(cursor, state)
         node = self.nodes.get(key)
         if node is None:
-            entries = self.candidates(probs, state)
             if isinstance(cursor, np.ndarray):
                 cursor = np.ndarray(cursor.shape, cursor.dtype, key[0])
-            names, probs = zip(*entries) if entries else ((), ())
             node = self.nodes.setdefault(
-                key, (cursor, state, names, probs, next(self._slots))
+                key, self.candidates(probs, state, cursor, next(self._slots))
             )
         return node
 
     def walk(self, advance, cursor, probs, state: str,
              limits: TraversalLimits):
-        """Depth first from the current state on an explicit stack of
-        ``(ranked children left, node, probability, link, depth)`` frames:
-        children are visited in rank order and pruned mass is added up in
-        visiting order. ``advance`` is the classifier's. Returns the leaves
-        and the pruned mass. Once ``MAX_EXPANSIONS`` path-nodes are
-        expanded, every further child that is no leaf is pruned."""
+        """Depth first from the current state: the current node's
+        children are iterated in rank order, and a descent pushes the
+        frame ``(children left, probability, link, depth)``; pruned mass
+        is added up in visiting order. ``advance`` is the classifier's.
+        Returns the leaves and the pruned mass. Once ``MAX_EXPANSIONS``
+        path-nodes are expanded, every further child that is no leaf is
+        pruned."""
         max_depth = limits.max_depth
-        max_breadth = limits.max_breadth
+        # A child's rank reaches the breadth exactly when its link does
+        # this bound, while slots stay below 2**40.
+        breadth_link = limits.max_breadth << 40
         min_probability = limits.min_probability
-        finals = self.model.final_states
         links = self.links
         leaves = []
         pruned = 0.0
         budget = MAX_EXPANSIONS
-        root = self.node(cursor, probs, state)
-        stack = [(zip(itertools.count(), root[2], root[3]), root, 1.0, None, 1)]
-        while stack:
-            ranked, node, p_curr, link, depth = stack[-1]
-            for rank, name, p in ranked:
+        stack = []
+        children = iter(self.node(cursor, probs, state))
+        p_curr, link, depth = 1.0, None, 1
+        while True:
+            for p, name, is_final, at, parent in children:
                 p_child = p_curr * p
                 if p_child <= 0.0:
                     continue
-                if rank >= max_breadth or depth > max_depth:
+                if at >= breadth_link or depth > max_depth:
                     pruned += p_child
-                elif name in finals:
+                elif is_final:
                     leaves.append((p_child, (link, name)))
                 elif p_child < min_probability or budget == 0:
                     pruned += p_child
                 else:
                     budget -= 1
-                    at = rank << 40 | node[4]
                     child = links.get(at)
                     if child is None:
-                        child = links[at] = self.node(*advance(node[0], name), name)
-                    stack.append((
-                        zip(itertools.count(), child[2], child[3]), child, p_child,
-                        (link, name), depth + 1,
-                    ))
+                        child = links[at] = self.node(*advance(parent, name), name)
+                    stack.append((children, p_curr, link, depth))
+                    children = iter(child)
+                    p_curr, link, depth = p_child, (link, name), depth + 1
                     break
             else:
-                stack.pop()
-        return leaves, pruned
+                if not stack:
+                    return leaves, pruned
+                children, p_curr, link, depth = stack.pop()
 
 
 # The step cache: for each live classifier, the walker of its current
@@ -295,8 +303,7 @@ def traverse(
     ``Classifier``). A call at another version or with another model
     replaces that classifier's cache, a walk that leaves it with more than
     ``NODE_CAP`` nodes drops it, and it is freed with the classifier: the
-    cache holds classifiers weakly. A node takes about 0.55 KB for a
-    window-3 frequency model and 0.86 KB for a 32-unit recurrent model.
+    cache holds classifiers weakly. ``NODE_CAP`` gives a node's size.
     A prediction that fails ``check_distribution`` raises ``ValueError``
     when its node would be made, and that node is not kept.
 

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import time
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 import efp.runtime
 from efp.errors import DuplicateInstance, QueueFull
-from efp.events import FAIL_STATE, Event, Outcome, catalog_from_traces
+from efp.events import FAIL_STATE, Event, EventTrace, Outcome, catalog_from_traces
 from efp.model import ProcessModel, mine_model
 from efp.predictors import FrequencyModel
 from efp.runtime import Bus, replay
@@ -262,6 +263,62 @@ def test_late_failure_event_closes_as_failed(order_catalog, chain_setup):
     assert trained.outcome_label is Outcome.FAIL
 
 
+class CountedId(str):
+    """An instance id that counts how often it is compared."""
+
+    compared = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedId.compared += 1
+        return str.__eq__(self, other)
+
+    def __ne__(self, other):
+        CountedId.compared += 1
+        return str.__ne__(self, other)
+
+
+def test_a_publish_checks_only_the_new_event():
+    # Rebuilding the running trace used to check the instance id and the
+    # order of every earlier event again, on every event.
+    spec = default_spec(1)
+    traces = generate(spec, 12)
+    classifier = FrequencyModel(catalog_from_traces(traces))
+    classifier.fit_bins(traces[:10])
+    classifier.train(traces[:10])
+    model = mine_model(traces[:10])
+    trace = max(traces[10:], key=len)
+    assert len(trace) > 40
+    instance_id = CountedId(trace.instance_id)
+    bus = Bus()
+    instance = bus.start_instance(instance_id, classifier, model)
+    compared = []
+    for event in trace.events:
+        CountedId.compared = 0
+        bus.publish(replace(event, global_instance_id=instance_id))
+        compared.append(CountedId.compared)
+    assert bus.error_queue == [] and instance.closed
+    assert len(bus.prediction_queue) == len(trace)
+    assert compared == [1] * len(trace)  # the new event's id, once
+    assert instance.trace == EventTrace(
+        trace.instance_id, tuple(instance.events), trace.outcome_label)
+
+
+def test_an_event_of_another_instance_is_refused(order_catalog, chain_setup):
+    model, stub = chain_setup
+    bus = Bus()
+    instance = bus.start_instance("i1", stub, model)
+    instance.on_event(_event(order_catalog, "A", 0, "i1"))
+    assert instance.on_event(_event(order_catalog, "E", 1, "i2")) is None
+    instance.on_event(_event(order_catalog, "B", 2, "i1"))
+    assert [e.state for e in instance.events] == ["A", "B"]
+    assert not instance.closed
+    [error] = bus.error_queue
+    assert (error.at_event_index, error.stage) == (1, "prediction")
+    assert "'i2'" in error.message and "share instance_id" in error.message
+    assert [p.at_event_index for p in bus.prediction_queue] == [0, 1]
+
+
 def test_classifier_failure_publishes_error_and_keeps_instance(order_catalog,
                                                                chain_setup):
     model, _ = chain_setup
@@ -433,3 +490,26 @@ def test_replay_emits_monotone_stream(order_catalog):
     line = stream[0].line()
     assert line.count("\t") == 4
     assert line.startswith("probe\t0\t")
+
+
+def test_replay_stream_is_pinned_bit_for_bit():
+    # The run goldens print four decimals; this pins every bit of each
+    # prediction and its top paths. Digest written with numpy 2.4.6.
+    spec = default_spec(1)
+    traces = inject_faults(generate(spec, 36), default_fault_plan(spec, 0.5),
+                           seed=2)
+    classifier = FrequencyModel(catalog_from_traces(traces))
+    classifier.fit_bins(traces[:24])
+    classifier.train(traces[:24])
+    stream = replay(traces[24:], classifier, mine_model(traces[:24]))
+    digest = hashlib.sha256()
+    for p in stream:
+        digest.update(repr((
+            p.instance_id, p.at_event_index,
+            p.p_fail.hex(), p.lower.hex(), p.upper.hex(),
+            [(t.suffix, t.probability.hex(), t.outcome.value)
+             for t in p.top_paths],
+        )).encode())
+    assert len(stream) == 705
+    assert digest.hexdigest() == (
+        "7fbcedb5afe73a70232a02dfcb84021fac9273a73a339ae3140936cdd0885fcf")

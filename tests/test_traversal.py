@@ -376,10 +376,13 @@ def checked_walker(monkeypatch):
     checked = []
 
     class CheckedWalker(efp.traversal._Walker):
-        def candidates(self, prediction, state):
-            got = super().candidates(prediction, state)
-            assert got == reference_candidates(
+        def candidates(self, prediction, state, cursor, slot):
+            got = super().candidates(prediction, state, cursor, slot)
+            assert [(name, p) for p, name, *_ in got] == reference_candidates(
                 prediction, self.outcomes, self.model, state)
+            assert [child[2:] for child in got] == [
+                (name in self.model.final_states, rank << 40 | slot, cursor)
+                for rank, (_, name, *_) in enumerate(got)]
             checked.append(state)
             return got
 
@@ -608,6 +611,63 @@ def test_walk_equals_recursive_reference_exactly():
     for probe, classifier, model, lim in random_model_walks():
         compared += assert_walks_agree(probe, classifier, model, lim)
     assert compared > 1000
+
+
+class NoFeasibleMassAt(Classifier):
+    """``inner``'s predictions, except that at ``state`` all mass goes to
+    ``onto``, an outcome the model does not allow there: that state's node
+    falls back to a uniform split over its feasible successors."""
+
+    def __init__(self, inner, state, onto):
+        self.inner, self.state = inner, state
+        self.catalog, self.outcomes = inner.catalog, inner.outcomes
+        self.version = inner.version
+        self.onto = np.zeros(len(self.outcomes))
+        self.onto[self.outcomes.index(onto)] = 1.0
+
+    def _at(self, state, pair):
+        cursor, probs = pair
+        return cursor, self.onto if state == self.state else probs
+
+    def start(self, trace):
+        return self._at(current_step(trace), self.inner.start(trace))
+
+    def advance(self, cursor, state):
+        return self._at(state, self.inner.advance(cursor, state))
+
+
+def test_cached_nodes_do_not_depend_on_the_limits():
+    # Each setting is walked, then every other one, then it again, on one
+    # step cache per classifier. A has six feasible children (the failure
+    # state included), more than any breadth here; D is a zero-mass node.
+    edges = {("A", s) for s in "BCDEF"} | {("B", s) for s in "CDE"}
+    edges |= {("C", s) for s in "DEF"} | {("D", s) for s in "EF"}
+    model = ProcessModel(states=frozenset("ABCDEF"), initial_state="A",
+                         final_states=frozenset("EF"), allowed=frozenset(edges))
+    rng = np.random.default_rng(11)
+    catalog = make_catalog("ABCDEF")
+    corpus = walk_corpus(rng, model, catalog, 60)
+    frequency = FrequencyModel(catalog, window=3)
+    frequency.train(corpus)
+    recurrent = RecurrentModel(catalog, seed=11)
+    recurrent.train(corpus[:10])
+    probes = [make_trace(catalog, [s], instance_id="probe") for s in "ABCD"]
+    settings = [TraversalLimits(max_depth=depth, max_breadth=breadth,
+                                min_probability=cutoff)
+                for breadth in (1, 2, 5) for depth in (3, 20)
+                for cutoff in (0.0, 1e-2)]
+    third = 1.0 / 3.0
+    for inner in (frequency, recurrent):
+        classifier = NoFeasibleMassAt(inner, "D", "A")
+        for limits in settings + settings[::-1]:
+            for probe in probes:
+                assert_walks_agree(probe, classifier, model, limits)
+        # Only the breadth cuts at depth 20 in a DAG this shallow.
+        narrow = TraversalLimits(max_depth=20, max_breadth=1, min_probability=0.0)
+        assert traverse(probes[0], classifier, model, narrow).pruned_mass > 0.1
+        fallback = traverse(probes[3], classifier, model, settings[-1])
+        assert [(p.suffix, p.probability) for p in fallback.paths] == [
+            (("E",), third), (("F",), third), ((FAIL_STATE,), third)]
 
 
 def test_a_leaf_is_its_probability_and_its_link():
