@@ -4,10 +4,10 @@ frequency baseline classifier.
 A classifier maps an event trace to a probability distribution over the
 possible next steps: a 1-D float array over its ``outcomes``, with the
 failure outcome always at index 0. The traversal uses the incremental API
-(``start``/``advance``, each returning ``(cursor, probs)``) so
-hypothetical continuations do not require rebuilding trace objects.
-``check_distribution`` is the one check of such an array; ``predict`` and
-each new traversal node run it.
+so hypothetical continuations do not require rebuilding trace objects:
+``start`` and ``advance`` return cursors, and ``readout`` the
+distribution at a cursor. ``check_distribution`` is the one check of such
+an array; ``predict`` and each new traversal node run it.
 """
 
 from __future__ import annotations
@@ -80,25 +80,25 @@ class Classifier:
     A prediction is a 1-D float array over ``outcomes``, which a
     classifier fixes when it is built. ``predict`` is a pure function of
     (classifier state, trace) and, given a fixed seed and training
-    sequence, bit-reproducible. ``start`` and ``advance`` expose the same
-    distribution incrementally for the traversal: ``start(trace)`` returns
-    ``(cursor, probs)``, an opaque cursor plus the prediction at the
-    trace's end, and ``advance(cursor, state)`` returns the same pair for
-    one more hypothetical step. Neither checks ``probs``: ``predict``
-    checks what it returns, and the traversal checks each new node's
-    prediction once (``check_distribution``).
+    sequence, bit-reproducible. The traversal reads the same distribution
+    incrementally: ``start(trace)`` returns an opaque cursor at the
+    trace's end, ``advance(cursor, state)`` the cursor one hypothetical
+    step further, and ``readout(cursor)`` the prediction there, unchecked.
+    ``predict(trace)`` is ``readout(start(trace))`` with its one
+    ``check_distribution``; the traversal checks a new node's prediction once.
 
     ``version`` counts the classifier's changes: every mutator
     (``train_online``, ``fit_bins``, and any other method that changes what
-    ``start`` or ``advance`` return) increments it.
+    ``start``, ``advance`` or ``readout`` return) increments it.
 
     Cursor contract: a cursor's key is its bytes if it is a numpy array,
-    else the (hashable) cursor itself. At one ``version``, cursors with
-    equal keys must give equal predictions. On that promise the traversal
-    keeps one node per ``(key, state)`` across walks until the version or
-    the process model changes, and the evaluation reuses a whole walk per
-    ``(key, state)`` within a fold. ``advance`` must not change its
-    cursor, which may be a read-only array over its key's bytes.
+    else the (hashable) cursor itself. ``readout`` is a function of the
+    cursor's key at one ``version``, and ``advance`` of key and state. On
+    that promise the traversal keeps one node per ``(key, state)`` across
+    walks until the version or the process model changes, and the
+    evaluation reuses a whole walk per ``(key, state)`` within a fold.
+    Neither may change its cursor, which may be a read-only array over
+    its key's bytes.
     """
 
     catalog: EventCatalog
@@ -106,7 +106,7 @@ class Classifier:
     version: int = 0
 
     def predict(self, trace: EventTrace) -> np.ndarray:
-        probs = self.start(trace)[1]
+        probs = self.readout(self.start(trace))
         check_distribution(probs.tolist(), len(self.outcomes))
         return probs
 
@@ -114,6 +114,9 @@ class Classifier:
         raise NotImplementedError
 
     def advance(self, cursor, state: str):
+        raise NotImplementedError
+
+    def readout(self, cursor) -> np.ndarray:
         raise NotImplementedError
 
     def fit_bins(self, traces: list[EventTrace]) -> None:
@@ -136,7 +139,8 @@ class FrequencyModel(Classifier):
     extend the token with discretized values (equal-width bins for numeric
     fields, verbatim strings for categorical ones), so data-indicated
     anomalies shift the conditioning context. Counting is additive, hence
-    online training equals batch training exactly.
+    online training equals batch training exactly. A cursor is the tuple
+    of the last ``window`` tokens; ``readout`` computes its row anew.
     """
 
     def __init__(self, catalog: EventCatalog, window: int = 3, alpha: float = 1.0,
@@ -157,9 +161,6 @@ class FrequencyModel(Classifier):
         self.trained_traces = 0
         # (type name, field position) -> (low, high) fitted on training data
         self.bin_ranges: dict[tuple[str, int], tuple[float, float]] = {}
-        # predictions are pure functions of the counts; cache per context
-        # and invalidate on training
-        self._prediction_cache: dict[tuple, np.ndarray] = {}
 
     # -- tokenization -----------------------------------------------------
 
@@ -243,32 +244,22 @@ class FrequencyModel(Classifier):
                 self.counts[key] = row
             row[self._index[target]] += 1.0
         self.trained_traces += 1
-        self._prediction_cache.clear()
         self.version += 1
 
     def start(self, trace: EventTrace):
         if self.trained_traces == 0:
             raise UntrainedModel("frequency model has seen no training trace")
-        cursor = self._context(trace.events)
-        return cursor, self._predict_context(cursor)
+        return self._context(trace.events)
 
     def advance(self, cursor, state: str):
         # Hypothetical steps carry no payload, so their token is bare.
         if self.window == 0:
-            return cursor, self._predict_context(cursor)
-        nxt = (cursor + ((state,),))[-self.window:]
-        return nxt, self._predict_context(nxt)
+            return cursor
+        return (cursor + ((state,),))[-self.window:]
 
-    def _predict_context(self, context: tuple) -> np.ndarray:
-        cached = self._prediction_cache.get(context)
-        if cached is not None:
-            return cached
-        counts = self.counts.get(context)
+    def readout(self, cursor) -> np.ndarray:
+        counts = self.counts.get(cursor)
         if counts is None:
             counts = np.zeros(len(self.outcomes))
         total = float(counts.sum()) + self.alpha * len(self.outcomes)
-        probs = (counts + self.alpha) / total
-        # Every caller shares the cached row, so none may write into it.
-        probs.flags.writeable = False
-        self._prediction_cache[context] = probs
-        return probs
+        return (counts + self.alpha) / total

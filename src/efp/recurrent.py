@@ -84,7 +84,8 @@ def _sum_steps(terms: np.ndarray) -> np.ndarray:
 
 
 class RecurrentModel(Classifier):
-    """Next-step classifier backed by a small recurrent network."""
+    """Next-step classifier backed by a small recurrent network; a cursor
+    is a hidden state, and ``readout`` runs the softmax layer on it."""
 
     def __init__(self, catalog: EventCatalog, seed: int = 0,
                  hidden_size: int = HIDDEN_SIZE):
@@ -120,8 +121,7 @@ class RecurrentModel(Classifier):
     def start(self, trace: EventTrace):
         self._check(trace)
         rows = encode_trace(trace, self.catalog)
-        hidden = self._forward_rows(rows[-MAX_SEQUENCE:])[-1]
-        return hidden, _softmax(self.w_out @ hidden + self.b_out)
+        return self._forward_rows(rows[-MAX_SEQUENCE:])[-1]
 
     def advance(self, cursor, state: str):
         column = self._columns.get(state)
@@ -129,8 +129,10 @@ class RecurrentModel(Classifier):
             raise UnknownEventType(f"state {state!r} not in catalog")
         # Same operand order as a step of ``_forward_rows``; ``w_in`` is read
         # at call time because training updates it in place.
-        hidden = np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
-        return hidden, _softmax(self.w_out @ hidden + self.b_out)
+        return np.tanh(self.w_in[:, column] + self.w_rec @ cursor + self.b_rec)
+
+    def readout(self, cursor) -> np.ndarray:
+        return _softmax(self.w_out @ cursor + self.b_out)
 
     # -- training -------------------------------------------------------------
 

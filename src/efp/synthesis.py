@@ -737,11 +737,13 @@ def read_spec(text: str) -> CollaborationSpec:
                 if dist.kind != "normal":
                     raise SpecFormatError("context sources use normal:mu,sigma")
                 opts = dict(p.split("=", 1) for p in parts[5:])
+                # A source attached to no step writes an empty ``attach=``.
+                attach = opts.get("attach")
                 sources.append(ContextSource(
                     parts[1], parts[2], Visibility(parts[3]), fname,
                     mu=dist.a, sigma=dist.b,
                     fire_prob=float(opts.get("fire", "1")),
-                    attach=tuple(opts["attach"].split(",")),
+                    attach=tuple(attach.split(",")) if attach else (),
                 ))
             else:
                 raise SpecFormatError(f"unknown directive {kind!r}")

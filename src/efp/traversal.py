@@ -20,7 +20,7 @@ import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,10 +121,8 @@ class TraversalResult:
         if len(leaves) > k >= 1:
             cut = leaves[k - 1][0]
             leaves = itertools.takewhile(lambda leaf: leaf[0] >= cut, leaves)
-        paths = []
-        for _, tied in itertools.groupby(
-                map(_outcome_path, leaves), key=attrgetter("probability")):
-            paths += sorted(tied, key=attrgetter("suffix"))
+        paths = sorted(map(_outcome_path, leaves),
+                       key=lambda path: (-path.probability, path.suffix))
         return tuple(paths[:k])
 
 
@@ -137,7 +135,8 @@ class _Walker:
     """Nodes of one classifier version on one model, kept across walks:
     every path and every walk that reaches a context ``(cursor, state)``
     shares its node, so while the classifier's ``version`` holds, each
-    node's children are ranked, and each of them advanced, once.
+    node's prediction is read out, its children ranked, and each of them
+    advanced, once.
 
     ``nodes`` maps a context's ``_key`` to its node, the tuple of its
     ranked children. A child is a flat tuple ``(probability, name,
@@ -210,10 +209,11 @@ class _Walker:
             for rank, (q, name) in enumerate(ranked)
         ])
 
-    def node(self, cursor, probs, state: str) -> tuple:
+    def node(self, readout, cursor, state: str) -> tuple:
         key = _key(cursor, state)
         node = self.nodes.get(key)
         if node is None:
+            probs = readout(cursor)
             if isinstance(cursor, np.ndarray):
                 cursor = np.ndarray(cursor.shape, cursor.dtype, key[0])
             node = self.nodes.setdefault(
@@ -221,12 +221,13 @@ class _Walker:
             )
         return node
 
-    def walk(self, advance, cursor, probs, state: str,
+    def walk(self, advance, readout, cursor, state: str,
              limits: TraversalLimits):
         """Depth first from the current state: the current node's
         children are iterated in rank order, and a descent pushes the
         frame ``(children left, probability, link, depth)``; pruned mass
-        is added up in visiting order. ``advance`` is the classifier's.
+        is added up in visiting order. ``advance`` and ``readout`` are the
+        classifier's, and ``readout`` is called only for a new node.
         Returns the leaves and the pruned mass. Once ``MAX_EXPANSIONS``
         path-nodes are expanded, every further child that is no leaf is
         pruned."""
@@ -240,7 +241,7 @@ class _Walker:
         pruned = 0.0
         budget = MAX_EXPANSIONS
         stack = []
-        children = iter(self.node(cursor, probs, state))
+        children = iter(self.node(readout, cursor, state))
         p_curr, link, depth = 1.0, None, 1
         while True:
             for p, name, is_final, at, parent in children:
@@ -257,7 +258,8 @@ class _Walker:
                     budget -= 1
                     child = links.get(at)
                     if child is None:
-                        child = links[at] = self.node(*advance(parent, name), name)
+                        child = links[at] = self.node(
+                            readout, advance(parent, name), name)
                     stack.append((children, p_curr, link, depth))
                     children = iter(child)
                     p_curr, link, depth = p_child, (link, name), depth + 1
@@ -304,8 +306,9 @@ def traverse(
     replaces that classifier's cache, a walk that leaves it with more than
     ``NODE_CAP`` nodes drops it, and it is freed with the classifier: the
     cache holds classifiers weakly. ``NODE_CAP`` gives a node's size.
-    A prediction that fails ``check_distribution`` raises ``ValueError``
-    when its node would be made, and that node is not kept.
+    Only a node not yet kept reads out its cursor's prediction (the
+    classifier's ``readout``); one that fails ``check_distribution``
+    raises ``ValueError``, and that node is not kept.
 
     ``memo`` is a dict the caller owns for a run of traversals with one
     model, one set of limits and one classifier that is not trained in
@@ -317,14 +320,14 @@ def traverse(
         return TraversalResult(
             0.0, 0.0, 1.0 if state == FAIL_STATE else 0.0, already_final=True
         )
-    cursor, probs = classifier.start(trace)
+    cursor = classifier.start(trace)
     key = _key(cursor, state)
     if memo is not None and key in memo:
         return memo[key]
     walker = _walker(classifier, model)
     try:
         leaves, pruned = walker.walk(
-            classifier.advance, cursor, probs, state, limits
+            classifier.advance, classifier.readout, cursor, state, limits
         )
     finally:
         # Past the cap the classifier's cache is dropped; if another thread

@@ -71,12 +71,13 @@ class StubClassifier(Classifier):
         return probs
 
     def start(self, trace):
-        states = trace.states
-        return states, self._prediction(states)
+        return trace.states
 
     def advance(self, cursor, state):
-        states = cursor + (state,)
-        return states, self._prediction(states)
+        return cursor + (state,)
+
+    def readout(self, cursor):
+        return self._prediction(cursor)
 
     def train_online(self, trace):
         pass  # scripted stubs do not learn

@@ -100,12 +100,13 @@ class MarkerOracle(Classifier):
         return probs
 
     def start(self, trace):
-        marker = any(self._seen(e) for e in trace.events)
-        return marker, self._prediction(marker)
+        return any(self._seen(e) for e in trace.events)
 
     def advance(self, cursor, state):
-        marker = cursor or state in self.MARKERS
-        return marker, self._prediction(marker)
+        return cursor or state in self.MARKERS
+
+    def readout(self, cursor):
+        return self._prediction(cursor)
 
     def train_online(self, trace):
         pass
@@ -369,10 +370,13 @@ class ConstantCursor(Classifier):
 
     def start(self, trace):
         self.requested.append(((), trace.states[-1]))
-        return (), self.prediction
+        return ()
 
     def advance(self, cursor, state):
-        return (), self.prediction
+        return ()
+
+    def readout(self, cursor):
+        return self.prediction
 
     def train_online(self, trace):
         pass
@@ -387,19 +391,19 @@ class RecordingRecurrent(RecurrentModel):
         self.requested = []
 
     def start(self, trace):
-        hidden, prediction = super().start(trace)
+        hidden = super().start(trace)
         self.requested.append((hidden.tobytes(), trace.states[-1]))
-        return hidden, prediction
+        return hidden
 
 
 def test_each_traversal_key_is_walked_once_per_split(order_catalog, monkeypatch):
     walked = []
     walk = efp.traversal._Walker.walk
 
-    def counting_walk(self, advance, cursor, prediction, state, limits):
+    def counting_walk(self, advance, readout, cursor, state, limits):
         key = cursor.tobytes() if isinstance(cursor, np.ndarray) else cursor
         walked.append((key, state))
-        return walk(self, advance, cursor, prediction, state, limits)
+        return walk(self, advance, readout, cursor, state, limits)
 
     monkeypatch.setattr(efp.traversal._Walker, "walk", counting_walk)
     estimates = []

@@ -223,19 +223,19 @@ def test_frequency_prediction_is_valid_distribution(small_catalog):
     assert model.outcomes[0] == FAIL_STATE
 
 
-def test_cached_frequency_prediction_is_read_only(small_catalog):
-    # Every caller shares one cached row per context: an in-place edit by
-    # one of them must not change what the others read.
+def test_frequency_predictions_are_equal_distinct_arrays(small_catalog):
+    # Each readout computes a fresh row: an in-place edit by one caller
+    # must not change what the others read.
     model = FrequencyModel(small_catalog)
     model.train([make_trace(small_catalog, ["A", "B"], label=Outcome.END)])
     trace = make_trace(small_catalog, ["A"])
     first = model.predict(trace)
-    expected = first.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        first *= 2
     again = model.predict(trace)
-    assert np.array_equal(again, expected)
-    assert np.array_equal(model.advance(model.start(trace)[0], "B")[1],
+    assert np.array_equal(first, again)
+    assert not np.shares_memory(first, again)
+    first *= 2
+    assert np.array_equal(model.predict(trace), again)
+    assert np.array_equal(model.readout(model.advance(model.start(trace), "B")),
                           model.predict(make_trace(small_catalog, ["A", "B"])))
 
 
@@ -264,7 +264,7 @@ def test_non_finite_readings_bin_without_error(small_catalog):
     for reading in (NAN, INF, -INF):
         probe = make_trace(small_catalog, ["A", "C_temp"],
                            payloads={"C_temp": (reading,)})
-        prediction = model.start(probe)[1]
+        prediction = model.readout(model.start(probe))
         assert prediction[b] > prediction[model.outcomes.index(FAIL_STATE)]
 
 

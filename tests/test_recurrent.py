@@ -94,8 +94,7 @@ def test_gradient_check_against_finite_differences(toy_catalog):
 def test_advance_matches_full_forward(toy_catalog):
     model = RecurrentModel(toy_catalog, seed=5)
     trace = make_trace(toy_catalog, ["A", "B"])
-    cursor, _ = model.start(trace)
-    _, incremental = model.advance(cursor, "C")
+    incremental = model.readout(model.advance(model.start(trace), "C"))
     full = model.predict(make_trace(toy_catalog, ["A", "B", "C"]))
     assert np.allclose(incremental, full, atol=1e-12)
 
@@ -158,9 +157,10 @@ def _onehot_step(model, state):
 
 
 def _assert_advance_is_full_step(model):
-    cursor, _ = model.start(make_trace(model.catalog, ["A", "B"]))
+    cursor = model.start(make_trace(model.catalog, ["A", "B"]))
     for state in model.outcomes:
-        hidden, prediction = model.advance(cursor, state)
+        hidden = model.advance(cursor, state)
+        prediction = model.readout(hidden)
         row = _onehot_step(model, state)
         expected = np.tanh(model.w_in @ row + model.w_rec @ cursor + model.b_rec)
         assert np.array_equal(hidden, expected), state
@@ -192,7 +192,7 @@ def test_advance_equals_onehot_step_as_weights_change(payload_catalog):
 
 def test_advance_unknown_state_raises(payload_catalog):
     model = RecurrentModel(payload_catalog, seed=7)
-    cursor, _ = model.start(make_trace(payload_catalog, ["A"]))
+    cursor = model.start(make_trace(payload_catalog, ["A"]))
     with pytest.raises(UnknownEventType):
         model.advance(cursor, "Z")
 
@@ -238,9 +238,9 @@ def test_start_and_train_online_are_pinned_bit_for_bit(payload_catalog):
     def start_digest():
         h = hashlib.sha256()
         for trace in traces:
-            hidden, prediction = model.start(trace)
+            hidden = model.start(trace)
             h.update(_float_hex(hidden))
-            h.update(_float_hex(prediction))
+            h.update(_float_hex(model.readout(hidden)))
         return h.hexdigest()
 
     untrained = start_digest()
@@ -325,7 +325,8 @@ def test_batched_passes_equal_the_per_step_loops_bit_for_bit(payload_catalog):
 
             trace = EventTrace(traces[-1].instance_id,
                                traces[-1].events[:cut])
-            hidden, probs = model.start(trace)
+            hidden = model.start(trace)
+            probs = model.readout(hidden)
             ref_hidden = _reference_forward(model, prefix[-MAX_SEQUENCE:])[-1]
             _assert_same_floats(hidden, ref_hidden)
             _assert_same_floats(probs, _reference_softmax(
@@ -334,20 +335,27 @@ def test_batched_passes_equal_the_per_step_loops_bit_for_bit(payload_catalog):
 
 def test_in_place_softmax_leaves_cursors_and_weights_alone(payload_catalog):
     model = RecurrentModel(payload_catalog, seed=7)
-    cursor, probs = model.start(make_trace(
+    cursor = model.start(make_trace(
         payload_catalog, ["A", "temp", "B"], payloads={"temp": (21.5,)}))
+    probs = model.readout(cursor)
     kept = cursor.copy(), probs.copy()
     weights = get_flat_params(model)
 
-    first = model.advance(cursor, "C")
-    second = model.advance(cursor, "C")
+    def step(cursor):
+        hidden = model.advance(cursor, "C")
+        return hidden, model.readout(hidden)
+
+    first = step(cursor)
+    second = step(cursor)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, cursor)
-    # The traversal hands ``advance`` a read-only view over a cursor's bytes.
+    # The traversal hands ``advance`` and ``readout`` a read-only view over
+    # a cursor's bytes.
     frozen = np.frombuffer(cursor.tobytes())
-    for a, b in zip(model.advance(frozen, "C"), first):
+    assert np.array_equal(model.readout(frozen), probs)
+    for a, b in zip(step(frozen), first):
         assert np.array_equal(a, b)
 
     model.start(make_trace(payload_catalog, ["B", "pair"],

@@ -13,6 +13,7 @@ from efp.synthesis import (
     FAULT_TYPES,
     STEP_FAULT,
     CollaborationSpec,
+    ContextSource,
     Dist,
     FaultPlan,
     StepFaultShape,
@@ -126,6 +127,19 @@ def test_spec_file_round_trip():
         clone = read_spec(text)
         assert clone == spec
         assert write_spec(clone) == text
+
+
+def test_spec_with_an_unattached_source_round_trips():
+    # A fault's alarm attaches to no step: its line ends in an empty
+    # ``attach=``, which reads back as no steps, as does a missing one.
+    alarm = ContextSource("alarm", "shop", Visibility.PRIVATE, "level",
+                          mu=1.0, sigma=0.5)
+    spec = replace(minimal_spec(3), context_sources=(alarm,))
+    text = write_spec(spec)
+    assert text.endswith(" fire=1 attach=\n")
+    assert read_spec(text) == spec
+    assert write_spec(read_spec(text)) == text
+    assert read_spec(text.replace(" attach=\n", "\n")) == spec
 
 
 def test_plain_task_payload_fields():

@@ -1,15 +1,23 @@
 import copy
 import gc
+import importlib.util
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import efp.traversal
 from efp.errors import NoIntrinsicEvent
-from efp.events import FAIL_STATE, Event, EventTrace, Outcome
+from efp.events import (
+    FAIL_STATE,
+    Event,
+    EventTrace,
+    Outcome,
+    catalog_from_traces,
+)
 from efp.model import ProcessModel, current_step, mine_model
 from efp.predictors import (
     Classifier,
@@ -17,7 +25,14 @@ from efp.predictors import (
     prediction_outcomes,
 )
 from efp.recurrent import RecurrentModel
-from efp.runtime import Bus
+from efp.runtime import Bus, replay
+from efp.synthesis import (
+    DATA_FAULT,
+    default_fault_plan,
+    default_spec,
+    generate,
+    inject_faults,
+)
 from efp.traversal import (
     FailureEstimate,
     OutcomePath,
@@ -526,11 +541,11 @@ def reference_traverse(trace, classifier, model, limits):
     paths = []
     pruned = 0.0
 
-    def expand(cursor, prediction, state, suffix, p_curr):
+    def expand(cursor, state, suffix, p_curr):
         nonlocal pruned
         depth = len(suffix) + 1
         ranked = reference_candidates(
-            prediction, classifier.outcomes, model, state)
+            classifier.readout(cursor), classifier.outcomes, model, state)
         for rank, (name, p) in enumerate(ranked):
             p_child = p_curr * p
             if p_child <= 0.0:
@@ -546,11 +561,10 @@ def reference_traverse(trace, classifier, model, limits):
             elif p_child < limits.min_probability:
                 pruned += p_child
             else:
-                next_cursor, next_pred = classifier.advance(cursor, name)
-                expand(next_cursor, next_pred, name, child_suffix, p_child)
+                expand(classifier.advance(cursor, name), name, child_suffix,
+                       p_child)
 
-    cursor, prediction = classifier.start(trace)
-    expand(cursor, prediction, current_step(trace), (), 1.0)
+    expand(classifier.start(trace), current_step(trace), (), 1.0)
     paths.sort(key=lambda p: (-p.probability, p.suffix))
     # Added left to right, one rounding each: from Python 3.12 on, ``sum``
     # compensates the rounding of floats.
@@ -616,7 +630,10 @@ def test_walk_equals_recursive_reference_exactly():
 class NoFeasibleMassAt(Classifier):
     """``inner``'s predictions, except that at ``state`` all mass goes to
     ``onto``, an outcome the model does not allow there: that state's node
-    falls back to a uniform split over its feasible successors."""
+    falls back to a uniform split over its feasible successors. A readout
+    sees only the cursor, so the state each cursor was made at is recorded
+    by the cursor's key; the inner classifiers here make no key at two
+    states."""
 
     def __init__(self, inner, state, onto):
         self.inner, self.state = inner, state
@@ -624,16 +641,26 @@ class NoFeasibleMassAt(Classifier):
         self.version = inner.version
         self.onto = np.zeros(len(self.outcomes))
         self.onto[self.outcomes.index(onto)] = 1.0
+        self.states = {}
 
-    def _at(self, state, pair):
-        cursor, probs = pair
-        return cursor, self.onto if state == self.state else probs
+    @staticmethod
+    def _key(cursor):
+        return cursor.tobytes() if isinstance(cursor, np.ndarray) else cursor
+
+    def _at(self, state, cursor):
+        assert self.states.setdefault(self._key(cursor), state) == state
+        return cursor
 
     def start(self, trace):
         return self._at(current_step(trace), self.inner.start(trace))
 
     def advance(self, cursor, state):
         return self._at(state, self.inner.advance(cursor, state))
+
+    def readout(self, cursor):
+        if self.states[self._key(cursor)] == self.state:
+            return self.onto
+        return self.inner.readout(cursor)
 
 
 def test_cached_nodes_do_not_depend_on_the_limits():
@@ -874,11 +901,13 @@ class LastStepStub(Classifier):
         }
 
     def start(self, trace):
-        state = current_step(trace)
-        return state, self.predictions[state]
+        return current_step(trace)
 
     def advance(self, cursor, state):
-        return state, self.predictions[state]
+        return state
+
+    def readout(self, cursor):
+        return self.predictions[cursor]
 
 
 def test_expansion_budget_ends_an_exponential_walk_honestly():
@@ -1130,12 +1159,17 @@ def test_concurrent_cold_walks_share_recurrent_and_tuple_nodes_safely():
 def test_step_cache_holds_no_objects_the_collector_tracks():
     # Nodes and links are tuples of atoms and arrays, which a collection
     # untracks, so a full cache adds nothing to later collections. One
-    # collection may look at a node before the tuples in it and untrack
-    # only those; the next one untracks the node.
+    # collection may look at a tuple before the tuples in it and untrack
+    # only those, and a frequency node nests its children, their context
+    # and the context's tokens. Two collections sufficed while the
+    # frequency model's prediction cache also held every context; after
+    # the concurrency tests they often left a node tracked, and three have
+    # not.
     model, frequency, recurrent, probes = recurrent_and_frequency(7)
     for classifier in (frequency, recurrent):
         for probe in probes:
             traverse(probe, classifier, model)
+    gc.collect()
     gc.collect()
     gc.collect()
     for classifier in (frequency, recurrent):
@@ -1145,3 +1179,66 @@ def test_step_cache_holds_no_objects_the_collector_tracks():
             for key, value in table.items():
                 assert not gc.is_tracked(key)
                 assert not gc.is_tracked(value)
+
+
+# -- the exact oracle over a grid of limits -------------------------------------
+
+
+def _bench_checks():
+    """``bench/checks.py``, loaded from its file: its absorbing-chain
+    oracle is computed apart from efp."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def data_fault_logs():
+    """A 30-trace training log and 3 held-out traces of the supply-chain
+    spec, each trace given a data fault with probability one half (one
+    held-out trace ends, two fail)."""
+    spec = default_spec(1)
+    traces = inject_faults(generate(spec, 33),
+                           default_fault_plan(spec, 0.5, (DATA_FAULT,)), seed=3)
+    return traces[:30], traces[30:]
+
+
+# (max_depth, max_breadth, min_probability): every depth limit 1, 2, 5 and
+# 20, every breadth limit 1, 2 and 5, and the cutoffs 0 (at small depth),
+# 1e-4 and 1e-2.
+ORACLE_GRID = ((1, 5, 0.0), (2, 2, 0.0), (5, 1, 0.0), (5, 2, 1e-2),
+               (20, 5, 1e-4), (20, 2, 1e-2))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_every_replayed_prediction_brackets_the_exact_oracle(
+        data_fault_logs, window, monkeypatch):
+    # Each prediction of an online replay, with the counts as they stood,
+    # against the exact failure probability of the absorbing chain, and no
+    # reported path longer than the depth limit; the last setting lets
+    # only a small expansion budget end the walk.
+    checks = _bench_checks()
+    train, held = data_fault_logs
+    catalog = catalog_from_traces(train + held)
+    model = mine_model(train)
+    runs = [(TraversalLimits(*setting), efp.traversal.MAX_EXPANSIONS)
+            for setting in ORACLE_GRID]
+    runs.append((TraversalLimits(20, 5, 0.0), 40))
+    checked = 0
+    for limits, budget in runs:
+        monkeypatch.setattr(efp.traversal, "MAX_EXPANSIONS", budget)
+        classifier = FrequencyModel(catalog, window=window, bins=8)
+        classifier.fit_bins(train)
+        classifier.train(train)
+        bus = Bus()
+        predictions = replay(held, classifier, model, limits, bus)
+        assert bus.error_queue == []
+        assert checks.check_stream(held, predictions, [], bus.instances,
+                                   model.final_states) == 0
+        assert all(len(path.suffix) <= limits.max_depth
+                   for p in predictions for path in p.top_paths)
+        checked += checks.check_oracle(range(len(predictions)), held, train,
+                                       predictions, window, 1.0, 8)
+    assert checked > 1000
