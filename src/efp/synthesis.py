@@ -64,6 +64,9 @@ class Dist:
     ref: str = ""
 
     def __post_init__(self):
+        if self.kind not in ("uniform", "normal", "choice", "tag",
+                             "minus_uniform"):
+            raise SpecFormatError(f"unknown distribution kind {self.kind!r}")
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise SpecFormatError(f"{self.kind} parameters must be finite")
         if self.kind.endswith("uniform") and not 0 <= self.b - self.a < np.inf:
@@ -87,9 +90,8 @@ class Dist:
             return str(self.options[rng.integers(0, len(self.options))])
         if self.kind == "tag":
             return f"{self.ref}-{instance_index:05d}"
-        if self.kind == "minus_uniform":
-            return earlier[self.ref] - float(rng.uniform(self.a, self.b))
-        raise SpecFormatError(f"unknown distribution kind {self.kind!r}")
+        # minus_uniform, the last kind ``__post_init__`` admits
+        return earlier[self.ref] - float(rng.uniform(self.a, self.b))
 
     def render(self) -> str:
         if self.kind == "uniform":
@@ -100,6 +102,7 @@ class Dist:
             return "choice:" + "|".join(self.options)
         if self.kind == "tag":
             return f"tag:{self.ref}"
+        # minus_uniform, the last kind ``__post_init__`` admits
         return f"minus_uniform:{self.ref},{self.a:g},{self.b:g}"
 
     @classmethod

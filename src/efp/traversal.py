@@ -54,9 +54,9 @@ UNLIMITED = TraversalLimits(max_depth=100, max_breadth=10_000, min_probability=0
 # and never reaches this; at a zero cutoff it bounds an exponential walk.
 MAX_EXPANSIONS = 200_000
 
-# Shared nodes the step cache may keep after a walk; past it the cache is
-# dropped. A node, with its children and links, takes about 0.69 KB for a
-# window-3 frequency model and 0.90 KB for a 32-unit recurrent model
+# Shared nodes the step cache may keep: a new node past it empties the
+# cache first. A node, with its children and links, takes about 0.69 KB
+# for a window-3 frequency model and 0.90 KB for a 32-unit recurrent model
 # (tracemalloc, over walks from every prefix of the seed-1 held-out logs
 # of the online workloads in ``bench/run.py``).
 NODE_CAP = 10_000
@@ -140,18 +140,19 @@ class _Walker:
 
     ``nodes`` maps a context's ``_key`` to its node, the tuple of its
     ranked children. A child is a flat tuple ``(probability, name,
-    is_final, link, cursor)``: ``link`` is the int ``rank << 40 | slot``,
-    where ``slot`` is the node's id from an atomic counter, and ``cursor``
-    is the node's own, to be advanced by ``name``; an array cursor is a
-    view of its key's bytes. ``links`` maps a child's ``link`` to the
-    child's node, one key per ``(slot, rank)`` while fewer than 2**40
-    slots are drawn. The collector never tracks ints and untracks tuples
-    of atoms once it has seen them, and they form no reference cycle: a
-    dropped walker is freed by reference counting, and a walk may go on in
-    a walker that another thread has just replaced. Threads agree on a
-    node by ``dict.setdefault``. For a node's size see ``NODE_CAP``. The
-    walker holds no reference to its classifier: it keeps the ``version``
-    and the fixed ``outcomes`` it was built for."""
+    is_final, rank, link, cursor)``: ``link`` is the child's own id, drawn
+    from the walker's counter, and ``cursor`` is the node's own, to be
+    advanced by ``name``; an array cursor is a view of its key's bytes.
+    ``links`` maps a child's ``link`` to the child's node. A new node past
+    ``NODE_CAP`` empties both first (threads adding nodes at once may each
+    pass it by one); a node is a pure function of its key at one version,
+    so a walk that finds them emptied rebuilds the same children. The
+    collector never tracks ints and untracks tuples of atoms once it has
+    seen them, and they form no reference cycle: a dropped walker is freed
+    by reference counting, and a walk may go on in a walker that another
+    thread has just replaced. Threads agree on a node by
+    ``dict.setdefault``. The walker holds no reference to its classifier:
+    it keeps the ``version`` and the fixed ``outcomes`` it was built for."""
 
     def __init__(self, classifier: Classifier, model: ProcessModel):
         self.version = classifier.version
@@ -159,7 +160,7 @@ class _Walker:
         self.model = model
         self.nodes: dict = {}
         self.links: dict = {}
-        self._slots = itertools.count()
+        self._link_ids = itertools.count()
         self._slot_cache: dict = {}
 
     def slots(self, state: str):
@@ -181,12 +182,12 @@ class _Walker:
             self._slot_cache[state] = cached
         return cached
 
-    def candidates(self, probs, state: str, cursor, slot: int) -> tuple:
-        """The node of context ``(cursor, state)`` with id ``slot``: its
-        feasible successors as children, with renormalized probabilities
-        as Python floats, most likely first; ties broken by state
-        identifier. Each node's prediction is checked here, once, before
-        the node is kept."""
+    def candidates(self, probs, state: str, cursor) -> tuple:
+        """The node of context ``(cursor, state)``: its feasible
+        successors as children, each with a new link id, renormalized
+        probabilities as Python floats, most likely first; ties broken by
+        state identifier. Each node's prediction is checked here, once,
+        before the node is kept."""
         probs = probs.tolist()
         check_distribution(probs, len(self.outcomes))
         slots, feasible = self.slots(state)
@@ -203,22 +204,25 @@ class _Walker:
             total = float(len(entries))
         ranked = [(-p / total, name) for p, name in entries]
         ranked.sort()
-        finals = self.model.final_states
+        finals, ids = self.model.final_states, self._link_ids
         return tuple([
-            (-q, name, name in finals, rank << 40 | slot, cursor)
+            (-q, name, name in finals, rank, next(ids), cursor)
             for rank, (q, name) in enumerate(ranked)
         ])
 
     def node(self, readout, cursor, state: str) -> tuple:
+        nodes = self.nodes
         key = _key(cursor, state)
-        node = self.nodes.get(key)
+        node = nodes.get(key)
         if node is None:
             probs = readout(cursor)
             if isinstance(cursor, np.ndarray):
                 cursor = np.ndarray(cursor.shape, cursor.dtype, key[0])
-            node = self.nodes.setdefault(
-                key, self.candidates(probs, state, cursor, next(self._slots))
-            )
+            node = self.candidates(probs, state, cursor)
+            if len(nodes) >= NODE_CAP:
+                nodes.clear()
+                self.links.clear()
+            node = nodes.setdefault(key, node)
         return node
 
     def walk(self, advance, readout, cursor, state: str,
@@ -227,14 +231,11 @@ class _Walker:
         children are iterated in rank order, and a descent pushes the
         frame ``(children left, probability, link, depth)``; pruned mass
         is added up in visiting order. ``advance`` and ``readout`` are the
-        classifier's, and ``readout`` is called only for a new node.
-        Returns the leaves and the pruned mass. Once ``MAX_EXPANSIONS``
-        path-nodes are expanded, every further child that is no leaf is
-        pruned."""
-        max_depth = limits.max_depth
-        # A child's rank reaches the breadth exactly when its link does
-        # this bound, while slots stay below 2**40.
-        breadth_link = limits.max_breadth << 40
+        classifier's, and ``readout`` is called only for a new node. A
+        child ranked at or past ``max_breadth`` is pruned. Returns the
+        leaves and the pruned mass. Once ``MAX_EXPANSIONS`` path-nodes are
+        expanded, every further child that is no leaf is pruned."""
+        max_depth, max_breadth = limits.max_depth, limits.max_breadth
         min_probability = limits.min_probability
         links = self.links
         leaves = []
@@ -244,11 +245,11 @@ class _Walker:
         children = iter(self.node(readout, cursor, state))
         p_curr, link, depth = 1.0, None, 1
         while True:
-            for p, name, is_final, at, parent in children:
+            for p, name, is_final, rank, at, parent in children:
                 p_child = p_curr * p
                 if p_child <= 0.0:
                     continue
-                if at >= breadth_link or depth > max_depth:
+                if rank >= max_breadth or depth > max_depth:
                     pruned += p_child
                 elif is_final:
                     leaves.append((p_child, (link, name)))
@@ -279,7 +280,8 @@ _walkers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _walker(classifier, model) -> _Walker:
     """The cached walker when it serves ``classifier`` at its version and
-    ``model``, else a new one that replaces it."""
+    ``model``, else a new one that replaces it: the only writer of
+    ``_walkers``."""
     walker = _walkers.get(classifier)
     if (walker is None or walker.version != classifier.version
             or walker.model is not model):
@@ -303,9 +305,9 @@ def traverse(
     The nodes are kept between calls, in a step cache of each classifier
     for its current ``version`` on one model (see the cursor contract of
     ``Classifier``). A call at another version or with another model
-    replaces that classifier's cache, a walk that leaves it with more than
-    ``NODE_CAP`` nodes drops it, and it is freed with the classifier: the
-    cache holds classifiers weakly. ``NODE_CAP`` gives a node's size.
+    replaces that classifier's cache, a new node past ``NODE_CAP`` empties
+    it first, and it is freed with the classifier: the cache holds
+    classifiers weakly. ``NODE_CAP`` gives a node's size.
     Only a node not yet kept reads out its cursor's prediction (the
     classifier's ``readout``); one that fails ``check_distribution``
     raises ``ValueError``, and that node is not kept.
@@ -324,16 +326,9 @@ def traverse(
     key = _key(cursor, state)
     if memo is not None and key in memo:
         return memo[key]
-    walker = _walker(classifier, model)
-    try:
-        leaves, pruned = walker.walk(
-            classifier.advance, classifier.readout, cursor, state, limits
-        )
-    finally:
-        # Past the cap the classifier's cache is dropped; if another thread
-        # has just put a newer walker there, that one goes too and is rebuilt.
-        if len(walker.nodes) > NODE_CAP:
-            _walkers.pop(classifier, None)
+    leaves, pruned = _walker(classifier, model).walk(
+        classifier.advance, classifier.readout, cursor, state, limits
+    )
     leaves.sort(key=itemgetter(0), reverse=True)
     # Both masses are added most likely first, one rounding per addition
     # (from Python 3.12 on, ``sum`` compensates the rounding of floats).

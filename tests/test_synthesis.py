@@ -407,6 +407,11 @@ def test_dist_rejects_parameters_it_cannot_draw_from(dist):
         Dist(kind, a, b, ref="x")
 
 
+def test_dist_rejects_a_kind_it_cannot_draw_or_write():
+    with pytest.raises(SpecFormatError, match="unknown distribution kind 'bogus'"):
+        Dist("bogus", 1, 2)
+
+
 def _spec_with_fields(*tasks):
     return CollaborationSpec(name="fields", partners=("a", "b"), tasks=tasks)
 

@@ -391,13 +391,20 @@ def checked_walker(monkeypatch):
     checked = []
 
     class CheckedWalker(efp.traversal._Walker):
-        def candidates(self, prediction, state, cursor, slot):
-            got = super().candidates(prediction, state, cursor, slot)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.seen_links = set()
+
+        def candidates(self, prediction, state, cursor):
+            got = super().candidates(prediction, state, cursor)
             assert [(name, p) for p, name, *_ in got] == reference_candidates(
                 prediction, self.outcomes, self.model, state)
-            assert [child[2:] for child in got] == [
-                (name in self.model.final_states, rank << 40 | slot, cursor)
+            assert [(child[2], child[3], child[5]) for child in got] == [
+                (name in self.model.final_states, rank, cursor)
                 for rank, (_, name, *_) in enumerate(got)]
+            links = {child[4] for child in got}
+            assert len(links) == len(got) and not links & self.seen_links
+            self.seen_links |= links
             checked.append(state)
             return got
 
@@ -875,10 +882,12 @@ def test_cyclic_walk_leaves_no_reference_cycles(monkeypatch):
         del classifier
         assert first() is None
         assert gc.collect() == 0
-        # A cache past its node cap is dropped after the walk.
+        # At a node cap of 0 each new node empties the cache first; a copy
+        # of ``other`` starts from an empty cache, so its walk builds nodes.
         monkeypatch.setattr(efp.traversal, "NODE_CAP", 0)
-        walk(other, DEEP)
-        assert other not in efp.traversal._walkers
+        fresh = copy.deepcopy(other)
+        walk(fresh, DEEP)
+        assert len(efp.traversal._walkers[fresh].nodes) <= 1
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -1158,20 +1167,17 @@ def test_concurrent_cold_walks_share_recurrent_and_tuple_nodes_safely():
 
 def test_step_cache_holds_no_objects_the_collector_tracks():
     # Nodes and links are tuples of atoms and arrays, which a collection
-    # untracks, so a full cache adds nothing to later collections. One
-    # collection may look at a tuple before the tuples in it and untrack
-    # only those, and a frequency node nests its children, their context
-    # and the context's tokens. Two collections sufficed while the
-    # frequency model's prediction cache also held every context; after
-    # the concurrency tests they often left a node tracked, and three have
-    # not.
+    # untracks, so a full cache adds nothing to later collections. A
+    # collection untracks a tuple only once the tuples in it are untracked,
+    # and it may visit a tuple before them, so it takes one collection per
+    # level of nesting: a window-3 frequency node nests four, node, child,
+    # context and token.
     model, frequency, recurrent, probes = recurrent_and_frequency(7)
     for classifier in (frequency, recurrent):
         for probe in probes:
             traverse(probe, classifier, model)
-    gc.collect()
-    gc.collect()
-    gc.collect()
+    for _ in range(4):
+        gc.collect()
     for classifier in (frequency, recurrent):
         walker = efp.traversal._walkers[classifier]
         assert len(walker.nodes) > 10 and len(walker.links) > 10
@@ -1179,6 +1185,41 @@ def test_step_cache_holds_no_objects_the_collector_tracks():
             for key, value in table.items():
                 assert not gc.is_tracked(key)
                 assert not gc.is_tracked(value)
+
+
+SMALL_CAP = 50
+
+
+def test_step_cache_never_holds_more_than_node_cap(monkeypatch):
+    # A new node past the cap empties the cache before it is added, also
+    # in the middle of a walk, and the walk rebuilds what it needs again.
+    model, frequency, recurrent, probes = recurrent_and_frequency(7)
+    limits = TraversalLimits(max_depth=10, min_probability=1e-5)
+    jobs = [(c, p) for c in (frequency, recurrent) for p in probes]
+    want = [cold_traverse(p, c, model, limits) for c, p in jobs]
+    sizes = []
+
+    class SizedWalker(efp.traversal._Walker):
+        def node(self, *args):
+            node = super().node(*args)
+            sizes.append(len(self.nodes))
+            return node
+
+    monkeypatch.setattr(efp.traversal, "_Walker", SizedWalker)
+    monkeypatch.setattr(efp.traversal, "NODE_CAP", SMALL_CAP)
+    for _ in range(2):
+        for (classifier, probe), expected in zip(jobs, want):
+            got = traverse(probe, classifier, model, limits)
+            assert got == expected and got.paths == expected.paths
+    assert max(sizes) == SMALL_CAP
+    assert sizes.count(1) > 2  # more starts from empty than two new walkers
+
+
+def test_concurrent_walks_empty_a_small_step_cache_safely(monkeypatch):
+    # At a small cap the threads empty the cache in the middle of each
+    # other's walks.
+    monkeypatch.setattr(efp.traversal, "NODE_CAP", SMALL_CAP)
+    test_concurrent_cold_walks_share_recurrent_and_tuple_nodes_safely()
 
 
 # -- the exact oracle over a grid of limits -------------------------------------
@@ -1218,19 +1259,22 @@ def test_every_replayed_prediction_brackets_the_exact_oracle(
     # Each prediction of an online replay, with the counts as they stood,
     # against the exact failure probability of the absorbing chain, and no
     # reported path longer than the depth limit; the last setting lets
-    # only a small expansion budget end the walk.
+    # only a small expansion budget end the walk. Each grid setting runs
+    # again without fitted bins: every finite reading (the logs hold no
+    # other) then falls in bin 0, as in the oracle's one-bin counts.
     checks = _bench_checks()
     train, held = data_fault_logs
     catalog = catalog_from_traces(train + held)
     model = mine_model(train)
-    runs = [(TraversalLimits(*setting), efp.traversal.MAX_EXPANSIONS)
-            for setting in ORACLE_GRID]
-    runs.append((TraversalLimits(20, 5, 0.0), 40))
+    runs = [(TraversalLimits(*setting), efp.traversal.MAX_EXPANSIONS, bins)
+            for bins in (8, 1) for setting in ORACLE_GRID]
+    runs.append((TraversalLimits(20, 5, 0.0), 40, 8))
     checked = 0
-    for limits, budget in runs:
+    for limits, budget, bins in runs:
         monkeypatch.setattr(efp.traversal, "MAX_EXPANSIONS", budget)
         classifier = FrequencyModel(catalog, window=window, bins=8)
-        classifier.fit_bins(train)
+        if bins > 1:
+            classifier.fit_bins(train)
         classifier.train(train)
         bus = Bus()
         predictions = replay(held, classifier, model, limits, bus)
@@ -1240,5 +1284,5 @@ def test_every_replayed_prediction_brackets_the_exact_oracle(
         assert all(len(path.suffix) <= limits.max_depth
                    for p in predictions for path in p.top_paths)
         checked += checks.check_oracle(range(len(predictions)), held, train,
-                                       predictions, window, 1.0, 8)
+                                       predictions, window, 1.0, bins)
     assert checked > 1000
