@@ -13,7 +13,6 @@ an array; ``predict`` and each new traversal node run it.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -195,12 +194,11 @@ class FrequencyModel(Classifier):
         return tuple(parts)
 
     def _context(self, events) -> tuple:
-        tail = events[-self.window:] if self.window > 0 else ()
-        return tuple(self._token(e) for e in tail)
+        return tuple(map(self._token, events[max(len(events) - self.window, 0):]))
 
     def fit_bins(self, traces: list[EventTrace]) -> None:
-        """Fit equal-width bin ranges for numeric payload fields over
-        their finite readings.
+        """Fit equal-width bin ranges over the finite readings of the
+        numeric fields of context events, the only fields ``_token`` bins.
 
         Must run before training when payload sensitivity is wanted;
         without it numeric payloads all land in bin 0.
@@ -209,6 +207,8 @@ class FrequencyModel(Classifier):
         highs: dict[tuple[str, int], float] = {}
         for trace in traces:
             for event in trace.events:
+                if event.event_type.kind is not EventKind.CONTEXT:
+                    continue
                 for i, value in enumerate(event.payload):
                     if event.event_type.data_schema[i][1] is not FieldKind.NUMERIC:
                         continue
@@ -224,19 +224,13 @@ class FrequencyModel(Classifier):
     # -- training and prediction ------------------------------------------
 
     def train_online(self, trace: EventTrace) -> None:
-        # One pass: each event inside some pair's window is tokenized once,
-        # and ``tail`` slides along holding the last ``window`` tokens
-        # before the current cut. Every key is built before any count
-        # changes, so a trace that raises leaves the counts as they were.
+        # Each event is tokenized once; a pair's key is the slice ``_context``
+        # takes of its prefix. Every key is built before any count changes,
+        # so a trace that raises leaves the counts as they were.
         targets = training_targets(trace, self.catalog)
-        window, token, events = self.window, self._token, trace.events
-        tail: deque = deque(maxlen=window)
-        seen = 0
-        keys = []
-        for cut, target in targets:
-            tail.extend(map(token, events[max(seen, cut - window):cut]))
-            seen = cut
-            keys.append((tuple(tail), target))
+        tokens = list(map(self._token, trace.events))
+        keys = [(tuple(tokens[max(cut - self.window, 0):cut]), target)
+                for cut, target in targets]
         for key, target in keys:
             row = self.counts.get(key)
             if row is None:

@@ -164,7 +164,7 @@ class RecurrentModel(Classifier):
         the bits of a per-step ``+=``.
         """
         hiddens = self._forward_rows(rows)
-        probs = _softmax(self.w_out @ hiddens[-1] + self.b_out)
+        probs = self.readout(hiddens[-1])
         loss = -np.log(max(probs[target], 1e-300))
 
         d_logits = probs.copy()

@@ -127,9 +127,10 @@ def read_xes(source: bytes) -> ParsedLog:
     payload fields (``SchemaError`` otherwise), and the catalog is
     :func:`~efp.events.catalog_of` the inferred types; a second failure type
     is a ``SchemaError``. A value that does not convert (a payload number,
-    a kind, visibility or outcome, the error index), an event of another
-    instance or one earlier than the event before it is a ``ParseError``
-    naming the trace, the event and the key. Traces with zero events are
+    a kind, visibility or outcome, the error index), an error index
+    outside ``[0, len(events))``, an event of another instance or one
+    earlier than the event before it is a ``ParseError`` naming the
+    trace, the event and the key. Traces with zero events are
     dropped and counted in ``empty_dropped``.
     """
     try:
@@ -167,13 +168,17 @@ def read_xes(source: bytes) -> ParsedLog:
                     raise ValueError("key 'time:timestamp': earlier than the "
                                      "event before it")
                 events.append(event)
+            error_index = (_convert(int, meta, "efp:error-index")
+                           if "efp:error-index" in meta else None)
+            if error_index is not None and not 0 <= error_index < len(events):
+                raise ValueError(f"key 'efp:error-index': {error_index} is outside "
+                                 f"[0, {len(events)})")
             traces.append(EventTrace(
                 instance_id=instance_id,
                 events=tuple(events),
                 outcome_label=_convert(Outcome, meta, "efp:outcome")
                 if meta.get("efp:outcome") else None,
-                error_index=_convert(int, meta, "efp:error-index")
-                if "efp:error-index" in meta else None,
+                error_index=error_index,
             ))
         except ValueError as exc:
             where = f"trace {instance_id!r}"

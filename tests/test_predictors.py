@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,45 @@ def one_pass_corpora():
                               seed=3)
     corpora.append((catalog_from_traces(generated), generated))
     return corpora
+
+
+def test_bins_are_fitted_only_for_context_fields():
+    # The steps of the default spec carry numeric payloads (quantity,
+    # weight, amount, ...), which a token never bins.
+    spec = default_spec(1)
+    traces = inject_faults(generate(spec, 60), default_fault_plan(spec, 0.5),
+                           seed=2)
+    catalog = catalog_from_traces(traces)
+    model = FrequencyModel(catalog)
+    model.fit_bins(traces)
+    numeric = {(t.name, i) for t in catalog.all_types
+               for i, (_, kind) in enumerate(t.data_schema)
+               if kind is FieldKind.NUMERIC}
+    context = {t.name for t in catalog.context}
+    assert {name for name, _ in numeric} - context  # step fields exist
+    assert set(model.bin_ranges) == {k for k in numeric if k[0] in context}
+
+    # Ranges for every numeric field, step fields added back, read the
+    # same tokens: equal counts and equal predictions at every prefix.
+    readings = {}
+    for trace in traces:
+        for event in trace.events:
+            for i, value in enumerate(event.payload):
+                if (event.event_type.name, i) in numeric:
+                    readings.setdefault((event.event_type.name, i), []).append(value)
+    every_field = FrequencyModel(catalog)
+    every_field.bin_ranges = {k: (min(v), max(v)) for k, v in readings.items()}
+    assert set(every_field.bin_ranges) > set(model.bin_ranges)
+    for key, bounds in model.bin_ranges.items():
+        assert every_field.bin_ranges[key] == bounds
+    model.train(traces)
+    every_field.train(traces)
+    assert_counts_equal(model.counts, every_field.counts)
+    for trace in traces:
+        for cut in range(1, len(trace.events) + 1):
+            prefix = replace(trace, events=trace.events[:cut])
+            assert np.array_equal(model.readout(model.start(prefix)),
+                                  every_field.readout(every_field.start(prefix)))
 
 
 @pytest.mark.parametrize("window", [0, 1, 3, 50])

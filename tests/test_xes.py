@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,17 @@ def test_outcome_and_error_index_survive(order_catalog):
     [out] = read_xes(write_xes([trace])).traces
     assert out.outcome_label is Outcome.FAIL
     assert out.error_index == 1
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_error_index_outside_the_trace_is_rejected(order_catalog, index):
+    # -1 would cut the evaluation snapshot from the end, and 2 (the
+    # trace's length) would let it take the failure event too.
+    trace = make_trace(order_catalog, ["A", "failure"], label=Outcome.FAIL)
+    blob = write_xes([replace(trace, error_index=index)])
+    with pytest.raises(ParseError, match=re.escape(
+            f"trace {trace.instance_id!r}: key 'efp:error-index': {index} ")):
+        read_xes(blob)
 
 
 def test_empty_traces_dropped_with_count():
