@@ -68,7 +68,8 @@ class PlanMismatch(EfpError):
 
 
 class DuplicateInstance(EfpError):
-    """An execution instance with this id is already live on the bus."""
+    """An execution instance with this id was already started on this bus,
+    live or closed."""
 
 
 class QueueFull(EfpError):

@@ -17,6 +17,7 @@ used; its bits differ from gemv's.
 from __future__ import annotations
 
 import hashlib
+from operator import is_
 
 import numpy as np
 
@@ -45,9 +46,13 @@ def categorical_code(value: str) -> float:
 def encode_trace(trace: EventTrace, catalog: EventCatalog) -> np.ndarray:
     """One input row per event, in trace order; payload slots beyond an
     event's schema stay zero."""
+    return _encode_events(trace.events, catalog)
+
+
+def _encode_events(events, catalog: EventCatalog) -> np.ndarray:
     n_types = len(catalog.all_types)
-    rows = np.zeros((len(trace), n_types + catalog.max_data_arity))
-    for row, event in zip(rows, trace.events):
+    rows = np.zeros((len(events), n_types + catalog.max_data_arity))
+    for row, event in zip(rows, events):
         # Names are unique within a catalog, so a type is placed by its name;
         # a type whose schema differs from the catalog's still gets that slot.
         index = catalog.position(event.event_type.name)
@@ -85,7 +90,13 @@ def _sum_steps(terms: np.ndarray) -> np.ndarray:
 
 class RecurrentModel(Classifier):
     """Next-step classifier backed by a small recurrent network; a cursor
-    is a hidden state, and ``readout`` runs the softmax layer on it."""
+    is a hidden state, and ``readout`` runs the softmax layer on it.
+
+    ``start`` stores, per instance id, the ``version``, the events and the
+    hidden state of its last call, so the next event of a running instance
+    costs one recurrent step. ``train_online`` empties the store as it
+    bumps ``version``: it holds only instances started since then.
+    """
 
     def __init__(self, catalog: EventCatalog, seed: int = 0,
                  hidden_size: int = HIDDEN_SIZE):
@@ -106,11 +117,12 @@ class RecurrentModel(Classifier):
         self.b_rec = np.zeros(hidden_size)
         self.w_out = rng.normal(0.0, scale_rec, (self.output_size, hidden_size))
         self.b_out = np.zeros(self.output_size)
+        self._started: dict[str, tuple] = {}
 
     # -- forward pass -------------------------------------------------------
 
-    def _check(self, trace: EventTrace) -> None:
-        for event in trace.events:
+    def _check(self, events) -> None:
+        for event in events:
             et = self.catalog.lookup(event.event_type.name)
             if et is None or et.arity != event.event_type.arity:
                 raise DimensionMismatch(
@@ -119,9 +131,33 @@ class RecurrentModel(Classifier):
                 )
 
     def start(self, trace: EventTrace):
-        self._check(trace)
-        rows = encode_trace(trace, self.catalog)
-        return self._forward_rows(rows[-MAX_SEQUENCE:])[-1]
+        """The hidden state after the trace's last ``MAX_SEQUENCE`` events.
+
+        It steps when the stored call for this instance id was at the
+        current ``version``, on the trace's first ``n - 1`` events (the
+        same objects), and ``n <= MAX_SEQUENCE``: only the new event is
+        checked and encoded, and ``_forward_rows`` runs its one row from
+        the stored hidden state. That makes the same numpy calls in the
+        same order as the last step of a full pass, so the result is still
+        a pure function of the trace at one ``version``, bit for bit. Any
+        other call checks every event, encodes only the window's rows and
+        runs them from zero.
+        """
+        events, version = trace.events, self.version
+        n = len(events)
+        kept = self._started.get(trace.instance_id)
+        if (kept is not None and kept[0] == version and n <= MAX_SEQUENCE
+                and len(kept[1]) == n - 1 and all(map(is_, kept[1], events))):
+            window, start = events[-1:], kept[2]
+            self._check(window)
+        else:
+            window, start = events[-MAX_SEQUENCE:], None
+            self._check(events)
+        hidden = self._forward_rows(_encode_events(window, self.catalog), start)[-1]
+        # Stored under the version read first: a state computed while
+        # training ran is never stepped from.
+        self._started[trace.instance_id] = (version, events, hidden)
+        return hidden
 
     def advance(self, cursor, state: str):
         column = self._columns.get(state)
@@ -136,9 +172,9 @@ class RecurrentModel(Classifier):
 
     # -- training -------------------------------------------------------------
 
-    def _forward_rows(self, rows: np.ndarray) -> np.ndarray:
+    def _forward_rows(self, rows: np.ndarray, start=None) -> np.ndarray:
         """Hidden states ``h_0 .. h_n`` of a prefix, one per row; ``h_0`` is
-        zero.
+        ``start``, zero by default.
 
         Each step is ``tanh(w_in @ row + w_rec @ h + b_rec)``. The input
         terms come from one stacked matmul, which runs the gemv of
@@ -147,6 +183,8 @@ class RecurrentModel(Classifier):
         """
         inputs = np.matmul(self.w_in, rows[:, :, None])[:, :, 0]
         hiddens = np.zeros((len(rows) + 1, self.hidden_size))
+        if start is not None:
+            hiddens[0] = start
         for t, x in enumerate(inputs):
             np.tanh(x + self.w_rec @ hiddens[t] + self.b_rec, out=hiddens[t + 1])
         return hiddens
@@ -191,7 +229,7 @@ class RecurrentModel(Classifier):
         Only the current trace is held in memory; each pair triggers an
         immediate parameter update.
         """
-        self._check(trace)
+        self._check(trace.events)
         rows = encode_trace(trace, self.catalog)
         for cut, target in training_targets(trace, self.catalog):
             _, grads = self.loss_and_grads(
@@ -201,3 +239,4 @@ class RecurrentModel(Classifier):
                 param = getattr(self, name)
                 param -= LEARNING_RATE * grads[name]
         self.version += 1
+        self._started.clear()

@@ -199,7 +199,8 @@ class Bus:
         which also wakes a publisher blocked on that full queue."""
         with self._lock:
             if instance_id in self.instances:
-                raise DuplicateInstance(f"instance {instance_id!r} already live")
+                raise DuplicateInstance(
+                    f"instance {instance_id!r} already started on this bus")
             instance = EfpInstance(self, instance_id, classifier, model, limits)
             self.instances[instance_id] = instance
             self.queues.setdefault(instance_id, deque())

@@ -130,8 +130,10 @@ def read_xes(source: bytes) -> ParsedLog:
     a kind, visibility or outcome, the error index), an error index
     outside ``[0, len(events))``, an event of another instance or one
     earlier than the event before it is a ``ParseError`` naming the
-    trace, the event and the key. Traces with zero events are
-    dropped and counted in ``empty_dropped``.
+    trace, the event and the key. A trace whose instance id an earlier
+    trace has is a ``ParseError`` naming the id and both traces' positions
+    in the log, counted from 0. Traces with zero events are dropped and
+    counted in ``empty_dropped``.
     """
     try:
         # Parsing a stream peaks lower in memory than ``fromstring`` does.
@@ -142,7 +144,8 @@ def read_xes(source: bytes) -> ParsedLog:
     types: dict[str, EventType] = {}
     traces = []
     dropped = 0
-    for trace_el in root.iter("trace"):
+    positions: dict[str, int] = {}
+    for position, trace_el in enumerate(root.iter("trace")):
         raw_events = [_attributes(e) for e in trace_el.iter("event")]
         if not raw_events:
             dropped += 1
@@ -151,6 +154,10 @@ def read_xes(source: bytes) -> ParsedLog:
         instance_id = meta.get("concept:name") or raw_events[0][0].get(
             "efp:instance", "unknown"
         )
+        first = positions.setdefault(instance_id, position)
+        if first != position:
+            raise ParseError(f"trace {instance_id!r} at position {position}: "
+                             f"the trace at position {first} has this id")
         events = []
         try:
             for attrs, tags in raw_events:

@@ -19,7 +19,7 @@ from efp.events import (
 )
 from efp.model import ProcessModel
 from efp.predictors import Classifier, prediction_outcomes
-from efp.recurrent import _PARAM_NAMES
+from efp.recurrent import _PARAM_NAMES, RecurrentModel
 
 
 def make_catalog(steps, contexts=(), fail_name="failure"):
@@ -83,7 +83,7 @@ class StubClassifier(Classifier):
         pass  # scripted stubs do not learn
 
 
-# -- the recurrent classifier's parameters as one vector (gradient checks) ----
+# -- the recurrent classifier: its parameters as one vector, a spied start ---
 
 
 def get_flat_params(model) -> np.ndarray:
@@ -100,6 +100,26 @@ def set_flat_params(model, flat: np.ndarray) -> None:
         setattr(model, name, chunk)
         offset += param.size
     model.version += 1
+
+
+class SpiedStart(RecurrentModel):
+    """Records each ``start`` as (instance id, prefix length, version,
+    whether it ran the full window from zero)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.starts = []
+
+    def start(self, trace):
+        self._full = None
+        hidden = super().start(trace)
+        self.starts.append(
+            (trace.instance_id, len(trace), self.version, self._full))
+        return hidden
+
+    def _forward_rows(self, rows, start=None):
+        self._full = start is None
+        return super()._forward_rows(rows, start)
 
 
 def flatten_grads(grads: dict) -> np.ndarray:

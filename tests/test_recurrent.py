@@ -1,4 +1,6 @@
 import hashlib
+import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from efp.errors import DimensionMismatch, UnknownEventType
 from efp.events import FAIL_STATE, Event, EventTrace, FieldKind, Outcome
 from efp.recurrent import MAX_SEQUENCE, RecurrentModel, _softmax, encode_trace
+from efp.synthesis import default_spec, generate
 
 from conftest import (
+    SpiedStart,
     flatten_grads,
     get_flat_params,
     make_catalog,
@@ -363,3 +367,76 @@ def test_in_place_softmax_leaves_cursors_and_weights_alone(payload_catalog):
     assert np.array_equal(cursor, kept[0])
     assert np.array_equal(probs, kept[1])
     assert np.array_equal(get_flat_params(model), weights)
+
+
+# -- the stepped start ----------------------------------------------------------
+
+
+def _full_start(model, trace):
+    rows = encode_trace(trace, model.catalog)[-MAX_SEQUENCE:]
+    return RecurrentModel._forward_rows(model, rows)[-1]
+
+
+def _long_traces():
+    """A ``default_spec`` catalog and its generated traces, the first
+    longer than ``MAX_SEQUENCE``."""
+    spec = default_spec(1)
+    traces = sorted(generate(spec, 6), key=len, reverse=True)
+    assert len(traces[0]) > MAX_SEQUENCE
+    return spec.catalog(), traces
+
+
+def _start_matches_full_start(model, trace, n):
+    prefix = EventTrace(trace.instance_id, trace.events[:n])
+    hidden = model.start(prefix)
+    assert hidden.tobytes() == _full_start(model, prefix).tobytes(), n
+
+
+def test_stepped_start_equals_a_full_start_as_weights_change():
+    catalog, traces = _long_traces()
+    trace = traces[0]
+    model = SpiedStart(catalog, seed=3)
+    rng = np.random.default_rng(5)
+    for n in range(1, len(trace) + 1):
+        if n == 20:
+            model.train_online(traces[1])
+        elif n == 40:
+            set_flat_params(model, get_flat_params(model)
+                            + rng.normal(0.0, 0.01, get_flat_params(model).size))
+        _start_matches_full_start(model, trace, n)
+    full = [n for _, n, _, was_full in model.starts if was_full]
+    assert full == [1, 20, 40] + list(range(MAX_SEQUENCE + 1, len(trace) + 1))
+
+
+def test_equal_but_not_identical_events_start_in_full():
+    catalog, traces = _long_traces()
+    trace = traces[0]
+    model = SpiedStart(catalog, seed=3)
+    model.train_online(traces[1])
+    for n in range(1, MAX_SEQUENCE + 1):
+        events = trace.events[:n]
+        if n % 8 == 0:
+            copies = tuple(replace(e) for e in events)
+            assert copies == events
+            assert not any(map(operator.is_, copies, events))
+            events = copies
+        _start_matches_full_start(model, EventTrace(trace.instance_id, events), n)
+    # A stored prefix of equal copies is not the trace's prefix, either way.
+    full = [n for _, n, _, was_full in model.starts if was_full]
+    assert full == [1] + [n for n in range(8, MAX_SEQUENCE + 1)
+                          if n % 8 in (0, 1)]
+
+
+def test_interleaved_instances_step_from_their_own_states():
+    catalog, traces = _long_traces()
+    first, second = traces[0], traces[1]
+    model = SpiedStart(catalog, seed=3)
+    model.train_online(traces[2])
+    for n in range(1, len(first) + 1):
+        for trace in (first, second):
+            if n <= len(trace):
+                _start_matches_full_start(model, trace, n)
+    for trace in (first, second):
+        full = [n for instance_id, n, _, was_full in model.starts
+                if instance_id == trace.instance_id and was_full]
+        assert full == [1] + list(range(MAX_SEQUENCE + 1, len(trace) + 1))

@@ -11,11 +11,18 @@ from efp.errors import DuplicateInstance, QueueFull
 from efp.events import FAIL_STATE, Event, EventTrace, Outcome, catalog_from_traces
 from efp.model import ProcessModel, mine_model
 from efp.predictors import FrequencyModel
+from efp.recurrent import MAX_SEQUENCE, RecurrentModel, encode_trace
 from efp.runtime import Bus, replay
 from efp.synthesis import default_fault_plan, default_spec, generate, inject_faults
 from efp.traversal import TraversalLimits
 
-from conftest import StubClassifier, make_catalog, make_trace
+from conftest import (
+    SpiedStart,
+    StubClassifier,
+    get_flat_params,
+    make_catalog,
+    make_trace,
+)
 
 
 def _event(catalog, name, ts, instance, payload=()):
@@ -513,3 +520,80 @@ def test_replay_stream_is_pinned_bit_for_bit():
     assert len(stream) == 705
     assert digest.hexdigest() == (
         "7fbcedb5afe73a70232a02dfcb84021fac9273a73a339ae3140936cdd0885fcf")
+
+
+class FullStartRecurrent(RecurrentModel):
+    """The recurrent classifier with a ``start`` that runs the full window
+    from zero on every call."""
+
+    def start(self, trace):
+        self._check(trace.events)
+        rows = encode_trace(trace, self.catalog)[-MAX_SEQUENCE:]
+        return self._forward_rows(rows)[-1]
+
+
+def _round_robin(factory):
+    """Replay six generated instances through one bus, three live at a
+    time and one event of each in turn, the next starting where one
+    closes; one event comes late and one instance is handed an event of
+    another. Returns the classifier ``factory`` built and the bus."""
+    spec = default_spec(1)
+    traces = inject_faults(generate(spec, 12), default_fault_plan(spec, 0.5),
+                           seed=2)
+    classifier = factory(catalog_from_traces(traces), seed=4)
+    classifier.train(traces[:2])
+    model = mine_model(traces)
+    streams = [(t.instance_id, list(t.events)) for t in traces[6:]]
+    late = streams[1][1]
+    late[12] = replace(late[12], timestamp=late[11].timestamp - 1)
+    foreign = streams[0][1][0]
+
+    bus = Bus()
+    pending, running = list(streams), []
+    published = 0
+    while pending or running:
+        while pending and len(running) < 3:
+            instance_id, events = pending.pop(0)
+            bus.start_instance(instance_id, classifier, model)
+            running.append((instance_id, iter(events)))
+        for item in list(running):
+            event = next(item[1], None)
+            if event is None:
+                running.remove(item)
+                continue
+            bus.publish(event)
+            published += 1
+            if published == 30:
+                bus.instances[streams[1][0]].on_event(foreign)
+    return classifier, bus
+
+
+def test_stepped_recurrent_start_keeps_the_stream_bit_for_bit():
+    spied, bus = _round_robin(SpiedStart)
+    full, full_bus = _round_robin(FullStartRecurrent)
+
+    def readings(bus):
+        return [(p.instance_id, p.at_event_index, p.p_fail.hex(), p.lower.hex(),
+                 p.upper.hex(), [(t.suffix, t.probability.hex(), t.outcome)
+                                 for t in p.top_paths])
+                for p in bus.prediction_queue]
+
+    assert readings(bus) == readings(full_bus)
+    assert bus.error_queue == full_bus.error_queue
+    assert [e.stage for e in bus.error_queue] == ["prediction"] * 2
+    assert all(instance.closed for instance in bus.instances.values())
+    assert get_flat_params(spied).tobytes() == get_flat_params(full).tobytes()
+
+    # A full forward only on an instance's first start, after training
+    # and past MAX_SEQUENCE; every other start steps from the last one.
+    last, reasons = {}, set()
+    for instance_id, n, version, was_full in spied.starts:
+        prev = last.get(instance_id)
+        reason = ("first" if prev is None else "version" if prev[1] != version
+                  else "window" if n > MAX_SEQUENCE else None)
+        assert was_full == (reason is not None), (instance_id, n)
+        assert reason is not None or prev[0] == n - 1
+        reasons.add(reason)
+        last[instance_id] = (n, version)
+    assert reasons == {"first", "version", "window", None}
+    assert spied._started == {}

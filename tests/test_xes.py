@@ -94,6 +94,18 @@ def test_error_index_outside_the_trace_is_rejected(order_catalog, index):
         read_xes(blob)
 
 
+def test_repeated_instance_id_is_rejected(order_catalog):
+    # Without this check ``efp run`` replays the whole first instance and
+    # then fails to start the second under the same id.
+    first = make_trace(order_catalog, ["A", "B"], instance_id="case-0")
+    other = make_trace(order_catalog, ["A"], instance_id="case-1")
+    again = make_trace(order_catalog, ["B"], instance_id="case-0")
+    blob = write_xes([first, other, again])
+    with pytest.raises(ParseError, match=re.escape(
+            "trace 'case-0' at position 2: the trace at position 0 has this id")):
+        read_xes(blob)
+
+
 def test_empty_traces_dropped_with_count():
     xml = b"""<?xml version="1.0" encoding="UTF-8"?>
     <log><trace>
