@@ -91,6 +91,18 @@ def _check_rate(value) -> float:
     return rate
 
 
+def _read_list(flag: str, text: str, read=str) -> list:
+    """The entries of ``flag``'s comma list ``text``, each through
+    ``read``; an entry equal to an earlier one is refused."""
+    entries = []
+    for token in text.split(","):
+        entry = read(token)
+        if entry in entries:
+            raise UsageError(f"{flag}: {token!r} repeats an earlier entry")
+        entries.append(entry)
+    return entries
+
+
 def _config(args, seed: int) -> PipelineConfig:
     """Classifier and traversal settings of ``run`` and ``evaluate``."""
     factory = partial(FrequencyModel, window=args.window, alpha=args.alpha)
@@ -139,7 +151,7 @@ def cmd_simulate(args) -> int:
 def cmd_inject(args) -> int:
     seed = _effective_seed(args)
     _check_rate(args.rate)
-    fault_types = tuple(args.fault_types.split(","))
+    fault_types = tuple(_read_list("--fault-types", args.fault_types))
     spec = _load_spec(args.spec)
     plan = default_fault_plan(spec, args.rate, fault_types)
     log = read_xes(Path(args.infile).read_bytes())
@@ -269,14 +281,16 @@ def cmd_evaluate(args) -> int:
     seed = _effective_seed(args)
     if args.k < 2:
         raise UsageError(f"--k must be at least 2, got {args.k}")
+    if args.k > args.n:
+        raise UsageError(f"--k {args.k} exceeds --n {args.n}")
     spec = _load_spec(args.spec)
-    rates = [_check_rate(r) for r in args.rate.split(",")]
-    scenarios = [Scenario.parse(s) for s in args.scenario.split(",")]
+    rates = _read_list("--rate", args.rate, _check_rate)
+    scenarios = _read_list("--scenario", args.scenario, Scenario.parse)
     for scenario in scenarios:
         if scenario.local and scenario.partner not in spec.partners:
             raise UsageError(f"--scenario {scenario}: spec {spec.name!r} has "
                              f"no partner {scenario.partner!r}")
-    fault_types = tuple(args.fault_types.split(","))
+    fault_types = tuple(_read_list("--fault-types", args.fault_types))
     # Every plan is checked before the corpus is generated.
     plans = {rate: default_fault_plan(spec, rate, fault_types) for rate in rates}
     config = _config(args, seed)

@@ -205,12 +205,19 @@ class EventTrace:
         return tuple(e.state for e in self.events if e.is_intrinsic)
 
 
+#: Each scenario's name and ``(local, drop_context)``; a local one is
+#: written ``<name>:<partner>``.
+_SCENARIO_KINDS = {"global": (False, False), "local": (True, False),
+                   "nocontext": (False, True), "nocontext-local": (True, True)}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Visibility scenario applied to a trace set before prediction.
 
-    ``partner`` is required for the local kinds and must emit at least one
-    event somewhere in the filtered trace list.
+    A local kind requires a ``partner``, which must emit at least one event
+    somewhere in the filtered trace list; the other kinds take none. Its
+    text (``str``) is what :meth:`parse` reads back to it.
     """
 
     local: bool = False
@@ -219,28 +226,27 @@ class Scenario:
 
     def __post_init__(self):
         if self.local and not self.partner:
-            raise UsageError("local scenarios require a partner id")
+            raise UsageError(f"scenario {self.kind!r} requires a partner id")
+        if not self.local and self.partner is not None:
+            raise UsageError(f"scenario {self.kind!r} takes no partner, "
+                             f"got {self.partner!r}")
+
+    @property
+    def kind(self) -> str:
+        flags = (self.local, self.drop_context)
+        return next(k for k, v in _SCENARIO_KINDS.items() if v == flags)
 
     @classmethod
     def parse(cls, text: str) -> "Scenario":
-        """Parse CLI syntax: ``global``, ``local:<partner>``, ``nocontext``,
-        ``nocontext-local:<partner>``."""
-        head, _, partner = text.partition(":")
-        if head == "global":
-            return cls()
-        if head == "local":
-            return cls(local=True, partner=partner)
-        if head == "nocontext":
-            return cls(drop_context=True)
-        if head == "nocontext-local":
-            return cls(local=True, drop_context=True, partner=partner)
-        raise UsageError(f"unknown scenario {text!r}")
+        """The scenario ``text`` writes: a name of ``_SCENARIO_KINDS``,
+        followed by ``:<partner>`` for a local kind."""
+        name, colon, partner = text.partition(":")
+        if name not in _SCENARIO_KINDS:
+            raise UsageError(f"unknown scenario {text!r}")
+        return cls(*_SCENARIO_KINDS[name], partner if colon else None)
 
     def __str__(self) -> str:
-        if self.local:
-            base = "nocontext-local" if self.drop_context else "local"
-            return f"{base}:{self.partner}"
-        return "nocontext" if self.drop_context else "global"
+        return f"{self.kind}:{self.partner}" if self.local else self.kind
 
 
 def catalog_of(types: Iterable[EventType]) -> EventCatalog:

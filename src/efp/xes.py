@@ -63,10 +63,7 @@ def _format_ts(ms: int) -> str:
 
 
 def _parse_ts(text: str) -> int:
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ParseError(f"bad timestamp {text!r}") from exc
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return round(dt.timestamp() * 1000)
@@ -123,16 +120,16 @@ def read_xes(source: bytes) -> ParsedLog:
     """Parse an XES document, given as bytes, into traces.
 
     The first event of each name gives that name's type (see
-    :func:`_infer_type`), later events must conform to it in kind and
-    payload fields (``SchemaError`` otherwise), and the catalog is
-    :func:`~efp.events.catalog_of` the inferred types; a second failure type
-    is a ``SchemaError``. A value that does not convert (a payload number,
-    a kind, visibility or outcome, the error index), an error index
-    outside ``[0, len(events))``, an event of another instance or one
-    earlier than the event before it is a ``ParseError`` naming the
-    trace, the event and the key. A trace whose instance id an earlier
-    trace has is a ``ParseError`` naming the id and both traces' positions
-    in the log, counted from 0. Traces with zero events are dropped and
+    :func:`_infer_type`), and the catalog is :func:`~efp.events.catalog_of`
+    the inferred types; a second failure type is a ``SchemaError``. Every
+    failure of one event reads ``trace '<id>', event <n> '<name>': ...``
+    (``n`` from 0, no name if it has none): a ``SchemaError`` when its kind
+    or payload fields differ from its name's type, else a ``ParseError``
+    naming the key (a missing name or timestamp, a value that does not
+    convert, an event of another instance or earlier than the one before
+    it). A bad outcome or error index is a ``ParseError`` naming the trace
+    and the key; so is a repeated instance id, naming both traces'
+    positions, counted from 0. Traces with zero events are dropped and
     counted in ``empty_dropped``.
     """
     try:
@@ -146,12 +143,12 @@ def read_xes(source: bytes) -> ParsedLog:
     dropped = 0
     positions: dict[str, int] = {}
     for position, trace_el in enumerate(root.iter("trace")):
-        raw_events = [_attributes(e) for e in trace_el.iter("event")]
-        if not raw_events:
+        elements = list(trace_el.iter("event"))
+        if not elements:
             dropped += 1
             continue
-        meta, _ = _attributes(trace_el)
-        instance_id = meta.get("concept:name") or raw_events[0][0].get(
+        meta = _attributes(trace_el)
+        instance_id = meta.get("concept:name") or _attributes(elements[0]).get(
             "efp:instance", "unknown"
         )
         first = positions.setdefault(instance_id, position)
@@ -160,13 +157,12 @@ def read_xes(source: bytes) -> ParsedLog:
                              f"the trace at position {first} has this id")
         events = []
         try:
-            for attrs, tags in raw_events:
-                name = attrs.get("concept:name")
-                if name is None:
-                    raise ParseError("event lacks concept:name")
+            for element in elements:
+                attrs = _attributes(element)
+                name = _convert(str, attrs, "concept:name")
                 et = types.get(name)
                 if et is None:
-                    et = types[name] = _infer_type(attrs, tags)
+                    et = types[name] = _infer_type(element, attrs)
                 event = _build_event(attrs, instance_id, et)
                 if event.global_instance_id != instance_id:
                     raise ValueError(f"key 'efp:instance': "
@@ -187,34 +183,35 @@ def read_xes(source: bytes) -> ParsedLog:
                 if meta.get("efp:outcome") else None,
                 error_index=error_index,
             ))
-        except ValueError as exc:
+        except (ValueError, SchemaError) as exc:
             where = f"trace {instance_id!r}"
-            if len(events) < len(raw_events):
-                name = raw_events[len(events)][0]["concept:name"]
-                where += f", event {len(events)} {name!r}"
-            raise ParseError(f"{where}: {exc}") from exc
+            if len(events) < len(elements):
+                name = attrs.get("concept:name")
+                where += f", event {len(events)}"
+                if name is not None:
+                    where += f" {name!r}"
+            error = SchemaError if isinstance(exc, SchemaError) else ParseError
+            raise error(f"{where}: {exc}") from exc
     failures = [t for t in types.values() if t.kind is EventKind.FAILURE]
     if len(failures) > 1:
         raise SchemaError(f"second failure type {failures[1].name!r}")
     return ParsedLog(tuple(traces), catalog_of(types.values()), dropped)
 
 
-def _attributes(element) -> tuple[dict[str, str], dict[str, str]]:
-    """Value and XML tag of each keyed child of ``element``, by key."""
-    attrs, tags = {}, {}
-    for child in element:
-        key = child.get("key")
-        if key is not None:
-            attrs[key] = child.get("value", "")
-            tags[key] = child.tag
-    return attrs, tags
+def _attributes(element) -> dict[str, str]:
+    """The value of each keyed child of ``element``, by key."""
+    return {key: child.get("value", "") for child in element
+            if (key := child.get("key")) is not None}
 
 
 def _convert(convert, attrs: dict[str, str], key: str, default=None):
-    """``convert`` of the value of ``key`` (``default`` when absent); its
-    ``ValueError`` names the key."""
+    """``convert`` of the value of ``key`` (``default`` when absent); a
+    ``ValueError`` naming the key if it is missing or does not convert."""
     try:
-        return convert(attrs.get(key, default))
+        value = attrs.get(key, default)
+        if value is None:
+            raise ValueError("missing")
+        return convert(value)
     except ValueError as exc:
         raise ValueError(f"key {key!r}: {exc}") from None
 
@@ -223,10 +220,11 @@ def _payload_keys(attrs: dict[str, str]) -> list[str]:
     return [k for k in attrs if k not in _RESERVED_EVENT_KEYS]
 
 
-def _infer_type(attrs: dict[str, str], tags: dict[str, str]) -> EventType:
+def _infer_type(element, attrs: dict[str, str]) -> EventType:
     """The type an event's attributes imply: the kind from ``efp:kind``
     (default ``step``), a payload field per non-reserved attribute, numeric
-    when written as ``float`` or ``int``."""
+    when its XML tag is ``float`` or ``int``."""
+    tags = {child.get("key"): child.tag for child in element}
     schema = tuple(
         (key, FieldKind.NUMERIC if tags[key] in ("float", "int")
          else FieldKind.CATEGORICAL)
@@ -239,30 +237,24 @@ def _infer_type(attrs: dict[str, str], tags: dict[str, str]) -> EventType:
 
 def _build_event(attrs: dict[str, str], instance_id: str,
                  et: EventType) -> Event:
-    name = et.name
     kind = attrs.get("efp:kind", "step")
     if kind != et.kind.value:
-        raise SchemaError(
-            f"event {name!r} has kind {kind!r}, but its name was first read "
-            f"as {et.kind.value!r}"
-        )
+        raise SchemaError(f"kind {kind!r}, but its name was first read as "
+                          f"{et.kind.value!r}")
     payload = []
     for fname, fkind in et.data_schema:
         if fname not in attrs:
-            raise SchemaError(f"event {name!r} lacks payload field {fname!r}")
+            raise SchemaError(f"lacks payload field {fname!r}")
         payload.append(_convert(float, attrs, fname)
                        if fkind is FieldKind.NUMERIC else attrs[fname])
     extra = set(_payload_keys(attrs)) - {f for f, _ in et.data_schema}
     if extra:
-        raise SchemaError(f"event {name!r} carries unknown fields {sorted(extra)}")
-    if "time:timestamp" not in attrs:
-        raise ParseError(f"event {name!r} lacks time:timestamp")
+        raise SchemaError(f"carries unknown fields {sorted(extra)}")
     return Event(
         event_type=et,
-        timestamp=_parse_ts(attrs["time:timestamp"]),
+        timestamp=_convert(_parse_ts, attrs, "time:timestamp"),
         global_instance_id=attrs.get("efp:instance", instance_id),
         partner_id=attrs.get("org:resource", ""),
         visibility=_convert(Visibility, attrs, "efp:visibility", "private"),
         payload=tuple(payload),
     )
-

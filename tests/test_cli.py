@@ -548,10 +548,11 @@ def _with_events_3_and_4_swapped(xes: bytes) -> bytes:
 @pytest.mark.parametrize("edit,message", [
     (lambda xes: re.sub(rb'(key="time:timestamp" value=")[^"]*', rb"\1garbage",
                         xes, count=1),
-     "bad timestamp 'garbage'"),
+     "trace 'case-00000', event 0 'forecast_demand': key 'time:timestamp': "
+     "Invalid isoformat string: 'garbage'"),
     (_with_last_close_order_as_failure,
-     "event 'close_order' has kind 'failure', but its name was first read "
-     "as 'step'"),
+     "trace 'case-00004', event 66 'close_order': kind 'failure', but its "
+     "name was first read as 'step'"),
     (_set_nth(b"quantity", 0, b"abc"),
      "trace 'case-00000', event 3 'place_order': key 'quantity': "
      "could not convert string to float: 'abc'"),
@@ -658,6 +659,40 @@ def test_evaluate_rejects_fewer_than_two_folds_before_generating(
     monkeypatch.setattr("efp.cli.sweep", no_sweep)
     assert run_cli("evaluate", "--out", str(tmp_path / "eval"), "--k", k) == 2
     assert capsys.readouterr().err == f"error: --k must be at least 2, got {k}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--rate", "0.5,0.5"), "--rate: '0.5' repeats an earlier entry"),
+    (("--rate", "0.2,0.5,0.50"), "--rate: '0.50' repeats an earlier entry"),
+    (("--scenario", "global,local:carrier,global"),
+     "--scenario: 'global' repeats an earlier entry"),
+    (("--fault-types", "step,data,step"),
+     "--fault-types: 'step' repeats an earlier entry"),
+    (("--k", "5", "--n", "4"), "--k 5 exceeds --n 4"),
+    (("--scenario", "nocontext:carrier"),
+     "scenario 'nocontext' takes no partner, got 'carrier'"),
+    (("--scenario", "global:x"), "scenario 'global' takes no partner, got 'x'"),
+    (("--scenario", "local"), "scenario 'local' requires a partner id"),
+    (("--scenario", "nocontext-local"),
+     "scenario 'nocontext-local' requires a partner id"),
+], ids=["rate", "rate-equal-value", "scenario", "fault-types", "k-above-n",
+        "nocontext-partner", "global-partner", "local-alone",
+        "nocontext-local-alone"])
+def test_evaluate_refuses_bad_lists_and_folds_before_generating(
+        tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.setattr("efp.cli.sweep", no_sweep)
+    assert run_cli("evaluate", *args, "--out", str(tmp_path / "eval")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_inject_refuses_a_repeated_fault_type(tmp_path, small_log, capsys):
+    out = tmp_path / "x.xes"
+    assert run_cli("inject", "--in", str(small_log), "--out", str(out),
+                   "--rate", "0.5", "--fault-types", "data,data") == 2
+    assert capsys.readouterr().err == (
+        "error: --fault-types: 'data' repeats an earlier entry\n")
+    assert not out.exists()
 
 
 @pytest.fixture

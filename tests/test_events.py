@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efp.errors import SchemaError, UnknownPartner
+from efp.errors import SchemaError, UnknownPartner, UsageError
 from efp.events import (
     FAIL_STATE,
     Event,
@@ -91,10 +91,30 @@ def test_scenario_parsing_round_trips():
     for text in ("global", "local:carrier", "nocontext",
                  "nocontext-local:carrier"):
         assert str(Scenario.parse(text)) == text
-    with pytest.raises(ValueError):
-        Scenario.parse("sideways")
-    with pytest.raises(ValueError):
-        Scenario(local=True)  # partner required
+    for text in ("sideways", "sideways:carrier", "global:", "local:",
+                 "nocontext-local:"):
+        with pytest.raises(UsageError):
+            Scenario.parse(text)
+    # A local kind requires a partner, and the others take none.
+    for fields in (dict(local=True), dict(partner="carrier"),
+                   dict(drop_context=True, partner="")):
+        with pytest.raises(UsageError):
+            Scenario(**fields)
+
+
+@pytest.mark.parametrize("partner", [None, "carrier"])
+@pytest.mark.parametrize("kind", ["global", "local", "nocontext",
+                                  "nocontext-local"])
+def test_every_scenario_round_trips_and_a_misplaced_partner_is_refused(
+        kind, partner):
+    text = kind if partner is None else f"{kind}:{partner}"
+    if kind.endswith("local") == (partner is not None):
+        scenario = Scenario.parse(text)
+        assert str(scenario) == text
+        assert Scenario.parse(str(scenario)) == scenario
+    else:
+        with pytest.raises(UsageError, match=f"^scenario '{kind}' "):
+            Scenario.parse(text)
 
 
 def _visibility_trace(catalog):

@@ -946,46 +946,40 @@ def test_expansion_budget_ends_an_exponential_walk_honestly():
     assert estimate.lower <= truth <= estimate.upper
 
 
-def test_frequency_oracle_lies_in_the_interval_under_the_budget():
-    # A window-1 frequency model conditions on the current state alone, so
-    # its walk is an absorbing Markov chain over the model's non-final
-    # states: from each, the prediction renormalized over the feasible
-    # successors. The exact failure probability solves f = Q f + r.
+def test_frequency_oracle_lies_in_the_interval_under_the_budget(monkeypatch):
+    # A window-1 model mined from a cyclic corpus, walked to depth 20 under
+    # the full expansion budget and under one of 40, against the exact
+    # failure probability of ``bench/checks.py``. The full budget leaves
+    # only the depth limit's small prune, so the large prune of the second
+    # walk is the budget's.
+    checks = _bench_checks()
     rng = np.random.default_rng(0)
-    model = random_cyclic_model(rng, 6)
-    catalog = make_catalog(sorted(model.states - {FAIL_STATE}))
+    walked = random_cyclic_model(rng, 6)
+    catalog = make_catalog(sorted(walked.states - {FAIL_STATE}))
+    corpus = walk_corpus(rng, walked, catalog, 40)
+    model = mine_model(corpus)
+    skeleton = checks.Skeleton(corpus)
+    skeleton.check_model(model)
+    counts = checks.Counts(corpus, window=1, bins=1)
+    for trace in corpus:
+        counts.add(trace.events, trace.outcome_label)
     classifier = FrequencyModel(catalog, window=1)
-    classifier.train(walk_corpus(rng, model, catalog, 40))
-    states = sorted(model.states - model.final_states)
-    index = {s: i for i, s in enumerate(states)}
-    q = np.zeros((len(states), len(states)))
-    r = np.zeros(len(states))
-    for s in states:
-        prediction = classifier.predict(make_trace(catalog, [s]))
-        feasible = model.successors(s)
-        at = classifier.outcomes.index
-        total = sum(prediction[at(o)] for o in feasible)
-        for o in feasible:
-            p = prediction[at(o)] / total
-            if o == FAIL_STATE:
-                r[index[s]] += p
-            elif o in index:
-                q[index[s], index[o]] += p
-    start = index[model.initial_state]
-    truth = np.linalg.solve(np.eye(len(states)) - q, r)[start]
-    # Mass still unabsorbed after ``max_depth`` steps: all that the depth
-    # limit alone would prune.
-    depth = 40
-    unabsorbed = (np.linalg.matrix_power(q, depth) @ np.ones(len(states)))[start]
-    limits = TraversalLimits(max_depth=depth, max_breadth=10_000,
+    classifier.train(corpus)
+    probe = make_trace(catalog, [model.initial_state])
+    truth = checks.exact_failure_probability(
+        counts, skeleton, classifier.outcomes, probe.events, classifier.alpha)
+    limits = TraversalLimits(max_depth=20, max_breadth=10_000,
                              min_probability=0.0)
-    result = traverse(make_trace(catalog, [model.initial_state]), classifier,
-                      model, limits)
-    assert result.explored_mass + result.pruned_mass == pytest.approx(
-        1.0, abs=1e-9)
-    assert unabsorbed < 1e-6 and result.pruned_mass > 0.1  # the budget cut
-    estimate = failure_probability(result)
-    assert estimate.lower <= truth <= estimate.upper
+    pruned = []
+    for budget in (efp.traversal.MAX_EXPANSIONS, 40):
+        monkeypatch.setattr(efp.traversal, "MAX_EXPANSIONS", budget)
+        result = traverse(probe, classifier, model, limits)
+        assert result.explored_mass + result.pruned_mass == pytest.approx(
+            1.0, abs=1e-9)
+        estimate = failure_probability(result)
+        assert estimate.lower <= truth <= estimate.upper
+        pruned.append(result.pruned_mass)
+    assert pruned[0] < 1e-3 and pruned[1] > 0.1  # the budget cut
 
 
 # -- the step cache ---------------------------------------------------------------

@@ -133,7 +133,8 @@ def test_missing_timestamp_raises():
     xml = b"""<log><trace><event>
       <string key="concept:name" value="A"/>
     </event></trace></log>"""
-    with pytest.raises(ParseError, match="event 'A' lacks time:timestamp"):
+    with pytest.raises(ParseError, match=re.escape(
+            "trace 'unknown', event 0 'A': key 'time:timestamp': missing")):
         read_xes(xml)
 
 
@@ -149,16 +150,16 @@ def test_later_event_must_match_inferred_kind(first, later):
                 f'.000+00:00"/>{kind_attr}</event>')
 
     xml = f"<log><trace>{event(first, 0)}{event(later, 1)}</trace></log>"
-    message = (f"event 'x' has kind '{later}', but its name was first read "
-               f"as '{first or 'step'}'")
-    with pytest.raises(SchemaError, match=message):
+    message = (f"trace 'unknown', event 1 'x': kind '{later}', but its name "
+               f"was first read as '{first or 'step'}'")
+    with pytest.raises(SchemaError, match=re.escape(message)):
         read_xes(xml.encode())
 
 
 @pytest.mark.parametrize("later_schema, message", [
-    ((), "event 'temp' lacks payload field 'reading'"),
+    ((), "trace 'case-1', event 1 'temp': lacks payload field 'reading'"),
     ((("reading", FieldKind.NUMERIC), ("extra", FieldKind.NUMERIC)),
-     r"event 'temp' carries unknown fields \['extra'\]"),
+     "trace 'case-1', event 1 'temp': carries unknown fields ['extra']"),
 ], ids=["missing-field", "unknown-field"])
 def test_later_event_must_match_inferred_schema(order_catalog, later_schema,
                                                 message):
@@ -167,8 +168,49 @@ def test_later_event_must_match_inferred_schema(order_catalog, later_schema,
     first = make_trace(order_catalog, ["A", "temp"], payloads={"temp": (1.0,)})
     later = make_trace(other, ["A", "temp"], instance_id="case-1",
                        payloads={"temp": (2.0,) * len(later_schema)})
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         read_xes(write_xes([first, later]))
+
+
+def _events_xml(*events):
+    """A one-trace log ``case-0`` of the given ``<event>`` bodies."""
+    body = "".join(f"<event>{e}</event>" for e in events)
+    return (f'<log><trace><string key="concept:name" value="case-0"/>{body}'
+            f"</trace></log>").encode()
+
+
+_NAME = '<string key="concept:name" value="{}"/>'
+_TIME = '<date key="time:timestamp" value="{}"/>'
+_AT = "2021-01-01T00:00:00.000+00:00"
+
+
+# Every failure of one event leaves through the handler that names the
+# trace and the event, and keeps its type.
+@pytest.mark.parametrize("events, error, message", [
+    ((_NAME.format("A") + _TIME.format(_AT), _TIME.format(_AT)), ParseError,
+     "trace 'case-0', event 1: key 'concept:name': missing"),
+    ((_NAME.format("A"),), ParseError,
+     "trace 'case-0', event 0 'A': key 'time:timestamp': missing"),
+    ((_NAME.format("A") + _TIME.format("garbage"),), ParseError,
+     "trace 'case-0', event 0 'A': key 'time:timestamp': Invalid isoformat "
+     "string: 'garbage'"),
+    ((_NAME.format("A") + _TIME.format(_AT),
+      _NAME.format("A") + _TIME.format(_AT)
+      + '<string key="efp:kind" value="context"/>'), SchemaError,
+     "trace 'case-0', event 1 'A': kind 'context', but its name was first "
+     "read as 'step'"),
+    ((_NAME.format("A") + _TIME.format(_AT) + '<float key="v" value="1.0"/>',
+      _NAME.format("A") + _TIME.format(_AT)), SchemaError,
+     "trace 'case-0', event 1 'A': lacks payload field 'v'"),
+    ((_NAME.format("A") + _TIME.format(_AT),
+      _NAME.format("A") + _TIME.format(_AT) + '<float key="v" value="1.0"/>'),
+     SchemaError, "trace 'case-0', event 1 'A': carries unknown fields ['v']"),
+], ids=["no-name", "no-timestamp", "bad-timestamp", "kind", "missing-field",
+        "unknown-field"])
+def test_every_event_failure_names_its_trace_and_event(events, error, message):
+    with pytest.raises(error) as info:
+        read_xes(_events_xml(*events))
+    assert str(info.value) == message
 
 
 def test_inferred_catalog_recovers_kinds_and_schemas(order_catalog):
